@@ -152,15 +152,14 @@ def reachable(model: PlantSpec, legal_only: bool = False) -> frozenset[str]:
     With ``legal_only`` only legal transitions are followed, which yields the
     state set of the legal subautomaton's accessible part.
     """
+    moves = model.legal_transitions if legal_only else model.delta.keys()
+    successors: dict[str, list[str]] = {}
+    for (src, ev) in moves:
+        successors.setdefault(src, []).append(model.delta[(src, ev)])
     seen = {model.initial}
     queue = deque([model.initial])
-    moves = model.legal_transitions if legal_only else model.delta.keys()
     while queue:
-        state = queue.popleft()
-        for (src, ev) in moves:
-            if src != state:
-                continue
-            dst = model.delta[(src, ev)]
+        for dst in successors.get(queue.popleft(), ()):
             if dst not in seen:
                 seen.add(dst)
                 queue.append(dst)

@@ -161,7 +161,14 @@ def _run_synthesize(args) -> int:
     return 0
 
 
+def _check_depth(depth: int | None) -> None:
+    # A negative bound enumerates no word at all and would pass vacuously.
+    if depth is not None and depth < 0:
+        raise UsageError(f"--depth must be nonnegative, got {depth}")
+
+
 def _run_verify(args) -> int:
+    _check_depth(args.depth)
     model, profile = load_model(args.file)
     result = load_supervisors(args.supervisors)
     verdict = verify_solution(model, profile, result)
@@ -212,6 +219,7 @@ def _run_export_dot(args) -> int:
 
 
 def _run_oracle(args) -> int:
+    _check_depth(args.depth)
     model, profile = load_model(args.file)
     if args.mode == "condition":
         which = (args.condition or "extended").replace("-", "_")

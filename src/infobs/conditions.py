@@ -100,6 +100,12 @@ def _uniform_defaults(profile: SupervisionProfile,
     return {ev: dft for ev in sorted(profile.sigma_c)}
 
 
+def _counterexample(frame: KripkeFrame, event: str, bad: int) -> Counterexample:
+    """The first world of the failing set ``bad``, in breadth-first order."""
+    w = frame.first(bad)
+    return Counterexample(event, w, frame.witness(w))
+
+
 # ---------------------------------------------------------------------------
 # Controllability
 
@@ -113,13 +119,10 @@ def check_controllability(model: PlantSpec, profile: SupervisionProfile,
     if frame is None:
         frame = default_frame(model, profile)
     for ev in sorted(profile.sigma_uc(model.events)):
-        phi = can_enable(ev)
-        for w in frame.worlds:
-            if not frame.world_legal(w):
-                continue
-            if not frame.eval(w, phi, "partial"):
-                ce = Counterexample(ev, w, frame.witness(w))
-                return Verdict("controllability", False, counterexample=ce)
+        bad = frame.legal_bits & ~frame.truth_set(can_enable(ev))
+        if bad:
+            return Verdict("controllability", False,
+                           counterexample=_counterexample(frame, ev, bad))
     return Verdict("controllability", True,
                    defaults=_uniform_defaults(profile, ENABLE))
 
@@ -157,25 +160,24 @@ def check_inf_obs_extended(frame: KripkeFrame, model: PlantSpec,
     """
     defaults: dict[str, FusedDecision] = {}
     for ev in sorted(profile.sigma_c):
-        lines = _extended_lines(profile, ev)
-        e, d = can_enable(ev), can_disable(ev)
-        uncovered = [w for w in frame.worlds
-                     if frame.world_legal(w)
-                     and not any(frame.eval(w, line, "partial", ev) for line in lines)]
-        # ``not d`` means the requirement needs the event enabled here,
-        # ``not e`` that it needs it disabled.
-        needs_enable = [w for w in uncovered if not frame.eval(w, d, "partial", ev)]
-        needs_disable = [w for w in uncovered if not frame.eval(w, e, "partial", ev)]
+        covered = 0
+        for line in _extended_lines(profile, ev):
+            covered |= frame.truth_set(line, "partial", ev)
+        uncovered = frame.legal_bits & ~covered
+        # Outside ``d`` the requirement needs the event enabled, outside
+        # ``e`` it needs it disabled.
+        needs_enable = uncovered & ~frame.truth_set(can_disable(ev), "partial", ev)
+        needs_disable = uncovered & ~frame.truth_set(can_enable(ev), "partial", ev)
         if needs_enable and needs_disable:
-            ce = Counterexample(ev, needs_enable[0], frame.witness(needs_enable[0]),
-                                needs_disable[0], frame.witness(needs_disable[0]))
+            w, v = frame.first(needs_enable), frame.first(needs_disable)
+            ce = Counterexample(ev, w, frame.witness(w), v, frame.witness(v))
             return Verdict("extended", False, counterexample=ce)
         if frozen_defaults is not None:
             chosen = frozen_defaults[ev]
             bad = needs_disable if chosen is ENABLE else needs_enable
             if bad:
-                ce = Counterexample(ev, bad[0], frame.witness(bad[0]))
-                return Verdict("extended", False, counterexample=ce)
+                return Verdict("extended", False,
+                               counterexample=_counterexample(frame, ev, bad))
             defaults[ev] = chosen
         else:
             defaults[ev] = DISABLE if needs_disable else ENABLE
@@ -227,13 +229,9 @@ def check_inf_obs_corrected(frame: KripkeFrame, model: PlantSpec,
     name = f"corrected-{shape}" if shape != "coupled" else "corrected"
     builder = _coupled_formula if shape == "coupled" else _split_formula
     for ev in sorted(profile.sigma_c):
-        phi = builder(profile, ev)
-        for w in frame.worlds:
-            if not frame.world_legal(w):
-                continue
-            if not frame.eval(w, phi, "partial", ev):
-                ce = Counterexample(ev, w, frame.witness(w))
-                return Verdict(name, False, counterexample=ce)
+        bad = frame.legal_bits & ~frame.truth_set(builder(profile, ev), "partial", ev)
+        if bad:
+            return Verdict(name, False, counterexample=_counterexample(frame, ev, bad))
     return Verdict(name, True, defaults=_uniform_defaults(profile, ENABLE))
 
 
@@ -259,14 +257,12 @@ def check_inf_obs_legacy(frame: KripkeFrame, model: PlantSpec,
     separation theorem is exercised.
     """
     events = model.events if sigma_domain == "all" else profile.sigma_c
+    domain = frame.legal_bits if world_domain == "legal" else frame.all_bits
     for ev in sorted(events):
-        phi = _coupled_formula(profile, ev)
-        for w in frame.worlds:
-            if world_domain == "legal" and not frame.world_legal(w):
-                continue
-            if not frame.eval(w, phi, relation, ev):
-                ce = Counterexample(ev, w, frame.witness(w))
-                return Verdict("legacy", False, counterexample=ce)
+        bad = domain & ~frame.truth_set(_coupled_formula(profile, ev), relation, ev)
+        if bad:
+            return Verdict("legacy", False,
+                           counterexample=_counterexample(frame, ev, bad))
     return Verdict("legacy", True, defaults=_uniform_defaults(profile, ENABLE))
 
 
@@ -297,10 +293,8 @@ def check_coobservability(frame: KripkeFrame, model: PlantSpec,
             phi = Or(SomeoneKnows(can_disable(ev)), can_enable(ev))
         else:
             phi = Or(SomeoneKnows(can_enable(ev)), can_disable(ev))
-        for w in frame.worlds:
-            if not frame.world_legal(w):
-                continue
-            if not frame.eval(w, phi, relation, ev):
-                ce = Counterexample(ev, w, frame.witness(w))
-                return Verdict(variant, False, counterexample=ce)
+        bad = frame.legal_bits & ~frame.truth_set(phi, relation, ev)
+        if bad:
+            return Verdict(variant, False,
+                           counterexample=_counterexample(frame, ev, bad))
     return Verdict(variant, True, defaults=_uniform_defaults(profile, dft))

@@ -143,16 +143,6 @@ def or_all(parts) -> Formula:
     return out
 
 
-def and_all(parts) -> Formula:
-    parts = list(parts)
-    if not parts:
-        return TRUE
-    out = parts[0]
-    for p in parts[1:]:
-        out = And(out, p)
-    return out
-
-
 def expand_derived(phi: Formula) -> Formula:
     """Rewrite Or and Implies into the primitive not/and fragment."""
     if isinstance(phi, (Const, Var)):
@@ -225,14 +215,33 @@ def _guard(phi: Formula) -> Formula:
 # ---------------------------------------------------------------------------
 # Frames
 
+def _mask(flags) -> int:
+    """The bitset of the positions where ``flags`` (in world order) is true."""
+    text = "".join("1" if flag else "0" for flag in flags)
+    return int(text[::-1], 2) if text else 0
+
+
+def _bits(indices) -> int:
+    """The bitset of the given world indices."""
+    out = 0
+    for k in indices:
+        out |= 1 << k
+    return out
+
+
 class KripkeFrame:
     """Worlds, valuation, and both accessibility families.
 
-    Accessibility is stored as a partition: per supervisor and relation, a
-    map from estimate to the tuple of member worlds, so evaluating a
-    knowledge operator is a scan of one class.  Evaluation results are
-    memoized per (relation, context event, formula, world); the cache is
-    write-once per key, so sharing the frame between readers is safe.
+    Worlds are indexed in the composite's breadth-first order, and a set of
+    worlds is a bitset held in a Python ``int`` whose bit k stands for
+    ``worlds[k]``.  Formulas are evaluated by bottom-up labelling:
+    :meth:`truth_set` maps a formula to the set of worlds where it holds, the
+    connectives are bitwise operations on the sets of their parts, and
+    ``Know(i, f)`` is one pass over supervisor i's accessibility classes that
+    keeps every class lying inside the truth set of ``f``.  Truth sets are
+    memoized per (relation, context event, formula), never per world; the
+    cache is write-once per key, so sharing the frame between readers is
+    safe.
     """
 
     def __init__(self, composite: Composite, model: PlantSpec,
@@ -241,7 +250,10 @@ class KripkeFrame:
         self.model = model
         self.profile = profile
         self.worlds = composite.worlds
+        self._index = {w: k for k, w in enumerate(self.worlds)}
         self._legal = {w: (w.plant in model.legal_states) for w in self.worlds}
+        self.all_bits = (1 << len(self.worlds)) - 1
+        self.legal_bits = _mask(self._legal[w] for w in self.worlds)
         n = profile.n
         total: list[dict[Estimate, list[World]]] = [{} for _ in range(n)]
         partial: list[dict[Estimate, list[World]]] = [{} for _ in range(n)]
@@ -252,7 +264,9 @@ class KripkeFrame:
                     partial[i].setdefault(w.estimates[i], []).append(w)
         self._total = [{k: tuple(v) for k, v in per.items()} for per in total]
         self._partial = [{k: tuple(v) for k, v in per.items()} for per in partial]
-        self._memo: dict = {}
+        self._classes: dict[tuple[int, Relation], list[tuple[int, int]]] = {}
+        self._props: dict[Prop, int] = {}
+        self._truth: dict[tuple[Relation, str | None, Formula], int] = {}
 
     # -- structure ---------------------------------------------------------
 
@@ -278,6 +292,10 @@ class KripkeFrame:
     def witness(self, w: World):
         return self.composite.witnesses[w]
 
+    def first(self, bits: int) -> World:
+        """The first world of a nonempty set in breadth-first order."""
+        return self.worlds[(bits & -bits).bit_length() - 1]
+
     # -- valuation ---------------------------------------------------------
 
     def pi(self, w: World, prop: Prop) -> bool:
@@ -289,53 +307,96 @@ class KripkeFrame:
             return self._legal[w]
         raise ModelError(f"unknown proposition kind {prop.kind!r}")
 
+    def _prop_set(self, prop: Prop) -> int:
+        """The worlds where ``prop`` holds, computed once per frame."""
+        if prop.event is not None and prop.event not in self.model.events:
+            raise ModelError(f"proposition refers to unknown event {prop.event!r}")
+        found = self._props.get(prop)
+        if found is None:
+            found = _mask(self.pi(w, prop) for w in self.worlds)
+            self._props[prop] = found
+        return found
+
     # -- evaluation --------------------------------------------------------
 
-    def eval(self, w: World, phi: Formula, relation: Relation = "partial",
-             event: str | None = None) -> bool:
-        """Standard inductive semantics.
+    def truth_set(self, phi: Formula, relation: Relation = "partial",
+                  event: str | None = None) -> int:
+        """The bitset of the worlds where ``phi`` holds.
 
         ``event`` supplies the controller set for the macro operators
         :class:`SomeoneKnows` and :class:`OtherKnows`; formulas without
         macros do not need it.
         """
-        key = (relation, event, phi, w)
-        hit = self._memo.get(key)
-        if hit is not None:
-            return hit
-        value = self._eval(w, phi, relation, event)
-        self._memo[key] = value
-        return value
+        key = (relation, event, phi)
+        found = self._truth.get(key)
+        if found is None:
+            found = self._label(phi, relation, event)
+            self._truth[key] = found
+        return found
 
-    def _eval(self, w: World, phi: Formula, relation: Relation,
-              event: str | None) -> bool:
+    def eval(self, w: World, phi: Formula, relation: Relation = "partial",
+             event: str | None = None) -> bool:
+        """Whether ``phi`` holds at ``w``: one bit of :meth:`truth_set`."""
+        return bool(self.truth_set(phi, relation, event) >> self._index[w] & 1)
+
+    def _label(self, phi: Formula, relation: Relation, event: str | None) -> int:
         if isinstance(phi, Const):
-            return phi.value
+            return self.all_bits if phi.value else 0
         if isinstance(phi, Var):
-            if phi.prop.event is not None and phi.prop.event not in self.model.events:
-                raise ModelError(f"proposition refers to unknown event {phi.prop.event!r}")
-            return self.pi(w, phi.prop)
+            return self._prop_set(phi.prop)
         if isinstance(phi, Not):
-            return not self.eval(w, phi.sub, relation, event)
+            return self.all_bits & ~self.truth_set(phi.sub, relation, event)
         if isinstance(phi, And):
-            return (self.eval(w, phi.left, relation, event)
-                    and self.eval(w, phi.right, relation, event))
+            return (self.truth_set(phi.left, relation, event)
+                    & self.truth_set(phi.right, relation, event))
         if isinstance(phi, Or):
-            return (self.eval(w, phi.left, relation, event)
-                    or self.eval(w, phi.right, relation, event))
+            return (self.truth_set(phi.left, relation, event)
+                    | self.truth_set(phi.right, relation, event))
         if isinstance(phi, Implies):
-            return (not self.eval(w, phi.left, relation, event)
-                    or self.eval(w, phi.right, relation, event))
+            return ((self.all_bits & ~self.truth_set(phi.left, relation, event))
+                    | self.truth_set(phi.right, relation, event))
         if isinstance(phi, Know):
-            return all(self.eval(v, phi.sub, relation, event)
-                       for v in self.class_of(w, phi.agent, relation))
+            sub = self.truth_set(phi.sub, relation, event)
+            out = 0
+            for holders, members in self._classes_of(phi.agent, relation):
+                if members & sub == members:
+                    out |= holders
+            return out
         if isinstance(phi, SomeoneKnows):
-            return any(self.eval(w, Know(i, phi.sub), relation, event)
-                       for i in self._controllers(event))
+            return self._any_knows(phi.sub, self._controllers(event), relation, event)
         if isinstance(phi, OtherKnows):
-            return any(self.eval(w, Know(j, phi.sub), relation, event)
-                       for j in self._controllers(event) if j != phi.agent)
+            others = [j for j in self._controllers(event) if j != phi.agent]
+            return self._any_knows(phi.sub, others, relation, event)
         raise TypeError(f"not a formula: {phi!r}")
+
+    def _any_knows(self, sub: Formula, agents, relation: Relation,
+                   event: str | None) -> int:
+        out = 0
+        for i in agents:
+            out |= self.truth_set(Know(i, sub), relation, event)
+        return out
+
+    def _classes_of(self, i: int, relation: Relation) -> list[tuple[int, int]]:
+        """Supervisor i's classes as (holders, members) bitset pairs.
+
+        Worlds are grouped by the class :meth:`class_of` returns for them:
+        ``holders`` are the worlds sharing one class, ``members`` the worlds
+        in it.  Under the partial relation the illegal worlds share the empty
+        class, so knowledge holds there vacuously.
+        """
+        key = (i, relation)
+        found = self._classes.get(key)
+        if found is None:
+            groups: dict[int, tuple[tuple[World, ...], list[int]]] = {}
+            for k, w in enumerate(self.worlds):
+                cls = self.class_of(w, i, relation)
+                # Keyed by identity: the frame hands out one tuple per class,
+                # and holding ``cls`` here keeps its id from being reused.
+                groups.setdefault(id(cls), (cls, []))[1].append(k)
+            found = [(_bits(ks), _bits(self._index[v] for v in cls))
+                     for cls, ks in groups.values()]
+            self._classes[key] = found
+        return found
 
     def _controllers(self, event: str | None) -> tuple[int, ...]:
         if event is None:

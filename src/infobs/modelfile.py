@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import re
+from contextlib import contextmanager
 from pathlib import Path
 
 from .automata import (PlantSpec, SupervisionProfile, reachable,
@@ -195,7 +196,13 @@ def serialize_model(model: PlantSpec, profile: SupervisionProfile) -> str:
 
 
 def load_model(path: str | Path) -> tuple[PlantSpec, SupervisionProfile]:
-    return parse_model(Path(path).read_text(encoding="utf-8"))
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except IsADirectoryError:
+        raise FormatError(f"{path} is a directory, not a model file") from None
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path} is not UTF-8 text: {exc}") from None
+    return parse_model(text)
 
 
 # ---------------------------------------------------------------------------
@@ -258,27 +265,45 @@ def load_supervisors(directory: str | Path) -> SynthesisResult:
     supervisors = []
     provenance: dict = {}
     for path in paths:
-        data = json.loads(path.read_text(encoding="utf-8"))
-        index = int(data["supervisor"]) - 1
-        states = frozenset(frozenset(e) for e in data["states"])
-        delta = {(frozenset(t["src"]), t["event"]): frozenset(t["dst"])
-                 for t in data["transitions"]}
-        observer = Observer(index, frozenset(data["observable"]),
-                            frozenset(data["initial"]), states, delta)
-        table = {}
-        for entry in data["table"]:
-            est = frozenset(entry["state"])
-            decision = ControlDecision(entry["decision"])
-            table[(est, entry["event"])] = decision
-            if "case" in entry:
-                provenance[(index, est, entry["event"])] = PolicyCase(entry["case"])
-        supervisors.append(Supervisor(observer, table))
+        with _malformed(path):
+            supervisors.append(_supervisor_from_json(
+                json.loads(path.read_text(encoding="utf-8")), provenance))
     supervisors.sort(key=lambda s: s.index)
     if [s.index for s in supervisors] != list(range(len(supervisors))):
         raise FormatError(f"supervisor files in {directory} do not cover 1..n")
     defaults_file = directory / "defaults.json"
     if not defaults_file.exists():
         raise FormatError(f"missing defaults.json in {directory}")
-    raw = json.loads(defaults_file.read_text(encoding="utf-8"))["defaults"]
-    defaults = {ev: FusedDecision(v) for ev, v in raw.items()}
+    with _malformed(defaults_file):
+        raw = json.loads(defaults_file.read_text(encoding="utf-8"))["defaults"]
+        defaults = {ev: FusedDecision(v) for ev, v in raw.items()}
     return SynthesisResult(tuple(supervisors), defaults, provenance)
+
+
+def _supervisor_from_json(data, provenance: dict) -> Supervisor:
+    index = int(data["supervisor"]) - 1
+    states = frozenset(frozenset(e) for e in data["states"])
+    delta = {(frozenset(t["src"]), t["event"]): frozenset(t["dst"])
+             for t in data["transitions"]}
+    observer = Observer(index, frozenset(data["observable"]),
+                        frozenset(data["initial"]), states, delta)
+    table = {}
+    for entry in data["table"]:
+        est = frozenset(entry["state"])
+        table[(est, entry["event"])] = ControlDecision(entry["decision"])
+        if "case" in entry:
+            provenance[(index, est, entry["event"])] = PolicyCase(entry["case"])
+    return Supervisor(observer, table)
+
+
+@contextmanager
+def _malformed(path: Path):
+    """Report a file that is not JSON or lacks the expected shape as a
+    :class:`FormatError` naming the file."""
+    try:
+        yield
+    except KeyError as exc:
+        raise FormatError(f"{path}: missing field {exc}") from None
+    except (AttributeError, IsADirectoryError, TypeError, ValueError) as exc:
+        # ValueError covers invalid JSON, bad UTF-8 and unknown enum values.
+        raise FormatError(f"{path}: {exc}") from None

@@ -14,8 +14,8 @@ from __future__ import annotations
 import random
 from typing import Sequence
 
-from .automata import (PlantSpec, SupervisionProfile, validate_model,
-                       validate_profile)
+from .automata import (PlantSpec, SupervisionProfile, reachable,
+                       validate_model, validate_profile)
 
 _EVENT_NAMES = ("a", "b", "c")
 
@@ -51,7 +51,8 @@ def random_instance(rng: random.Random, max_states: int = 5, max_events: int = 3
     delta = {(q, ev): dst for (q, ev), dst in delta.items()
              if not (q not in legal and dst in legal)}
 
-    reach = _reachable("q0", delta)
+    reach = reachable(PlantSpec(frozenset(events), frozenset(states), "q0", delta,
+                                frozenset(), frozenset()))
     states = [q for q in states if q in reach]
     delta = {(q, ev): dst for (q, ev), dst in delta.items() if q in reach}
     legal &= reach
@@ -72,18 +73,6 @@ def random_instance(rng: random.Random, max_states: int = 5, max_events: int = 3
     validate_model(model)
     validate_profile(model, profile)
     return model, profile
-
-
-def _reachable(initial: str, delta) -> set[str]:
-    seen = {initial}
-    stack = [initial]
-    while stack:
-        q = stack.pop()
-        for (src, _ev), dst in delta.items():
-            if src == q and dst not in seen:
-                seen.add(dst)
-                stack.append(dst)
-    return seen
 
 
 def instance_stream(seed: int, count: int, **kwargs):

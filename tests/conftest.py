@@ -8,9 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from infobs import (And, Implies, Know, Not, Or, PlantSpec, SupervisionProfile,
-                    Var, default_frame, language_upto, legal, load_model,
-                    possible, synthesize)
+from infobs import (And, Const, Implies, Know, Not, Or, OtherKnows, PlantSpec,
+                    SomeoneKnows, SupervisionProfile, Var, default_frame,
+                    language_upto, legal, load_model, possible, synthesize)
 from infobs.errors import SynthesisError
 from infobs.randgen import instance_stream, random_instance
 
@@ -21,6 +21,7 @@ N2_SEED = 20240601
 SOUND_SEED = 20240602
 TINY_SEED = 20240603
 FORMULA_SEED = 20240604
+N3_SEED = 20240605
 
 
 @pytest.fixture(scope="session")
@@ -81,6 +82,18 @@ def n2_instances():
     """Two-supervisor instances for the equivalence/separation/chain checks."""
     out = []
     for model, profile in instance_stream(N2_SEED, 220, n_choices=(2,),
+                                          obs_membership=0.4,
+                                          legal_state_bias=0.6):
+        out.append((model, profile, default_frame(model, profile)))
+    return out
+
+
+@pytest.fixture(scope="session")
+def n3_instances():
+    """Three-supervisor instances; composites stay inside the oracle bound."""
+    out = []
+    for model, profile in instance_stream(N3_SEED, 200, n_choices=(3,),
+                                          max_states=8, transition_density=0.75,
                                           obs_membership=0.4,
                                           legal_state_bias=0.6):
         out.append((model, profile, default_frame(model, profile)))
@@ -186,17 +199,55 @@ def automaton_language(automaton, k: int) -> set:
     return words
 
 
-def random_formula(rng: random.Random, events, n_agents: int, depth: int):
-    """Random macro-free formula over the model's propositions."""
+def random_formula(rng: random.Random, events, n_agents: int, depth: int,
+                   macros: bool = False):
+    """Random formula over the model's propositions.
+
+    With ``macros`` the formula may also use the controller macros
+    :class:`SomeoneKnows` and :class:`OtherKnows`, which need a context
+    event when evaluated.
+    """
     if depth == 0 or rng.random() < 0.25:
         ev = rng.choice(events)
         return Var(possible(ev)) if rng.random() < 0.5 else Var(legal(ev))
-    kind = rng.choice(("not", "and", "or", "implies", "know", "know"))
+    kinds = ("not", "and", "or", "implies", "know", "know")
+    if macros:
+        kinds += ("someone", "other")
+    kind = rng.choice(kinds)
     if kind == "not":
-        return Not(random_formula(rng, events, n_agents, depth - 1))
-    if kind == "know":
-        return Know(rng.randrange(n_agents),
-                    random_formula(rng, events, n_agents, depth - 1))
-    left = random_formula(rng, events, n_agents, depth - 1)
-    right = random_formula(rng, events, n_agents, depth - 1)
+        return Not(random_formula(rng, events, n_agents, depth - 1, macros))
+    if kind == "someone":
+        return SomeoneKnows(random_formula(rng, events, n_agents, depth - 1, macros))
+    if kind in ("know", "other"):
+        op = Know if kind == "know" else OtherKnows
+        return op(rng.randrange(n_agents),
+                  random_formula(rng, events, n_agents, depth - 1, macros))
+    left = random_formula(rng, events, n_agents, depth - 1, macros)
+    right = random_formula(rng, events, n_agents, depth - 1, macros)
     return {"and": And, "or": Or, "implies": Implies}[kind](left, right)
+
+
+def reference_eval(frame, w, phi, relation="partial", event=None) -> bool:
+    """The inductive semantics, world by world over ``class_of``.
+
+    Deliberately naive (no memo, no bitsets) so it shares nothing with
+    :meth:`KripkeFrame.truth_set` beyond the accessibility classes.
+    """
+    if isinstance(phi, Const):
+        return phi.value
+    if isinstance(phi, Var):
+        return frame.pi(w, phi.prop)
+    if isinstance(phi, Not):
+        return not reference_eval(frame, w, phi.sub, relation, event)
+    if isinstance(phi, (And, Or, Implies)):
+        left = reference_eval(frame, w, phi.left, relation, event)
+        right = reference_eval(frame, w, phi.right, relation, event)
+        if isinstance(phi, And):
+            return left and right
+        return (left or right) if isinstance(phi, Or) else (not left or right)
+    if isinstance(phi, Know):
+        return all(reference_eval(frame, v, phi.sub, relation, event)
+                   for v in frame.class_of(w, phi.agent, relation))
+    skip = phi.agent if isinstance(phi, OtherKnows) else None
+    return any(reference_eval(frame, w, Know(i, phi.sub), relation, event)
+               for i in frame.profile.controllers(event) if i != skip)

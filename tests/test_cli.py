@@ -1,6 +1,12 @@
 """Command-line surface: exit codes, JSON schema, file outputs."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 from infobs.cli import main
 
@@ -189,3 +195,77 @@ class TestOracleCommand:
         assert "no supervisor assignment" in out
         code, out, _ = run(capsys, "oracle", GAP, "--mode", "search")
         assert code == 0
+
+
+class TestInputHardening:
+    """Malformed input is a usage or parse error (exit 2), never a traceback
+    and never a pass."""
+
+    @pytest.fixture
+    def sup_dir(self, capsys, tmp_path):
+        out_dir = tmp_path / "sup"
+        assert run(capsys, "synthesize", GAP, "-o", str(out_dir))[0] == 0
+        return out_dir
+
+    def test_negative_depth_is_a_usage_error(self, capsys, sup_dir):
+        code, out, err = run(capsys, "verify", GAP, "--supervisors",
+                             str(sup_dir), "--depth", "-1")
+        assert code == 2 and "pass" not in out and "--depth" in err
+        for mode in ("solve", "search"):
+            code, out, err = run(capsys, "oracle", GAP, "--mode", mode,
+                                 "--depth", "-3")
+            assert code == 2 and not out and "--depth" in err
+
+    def test_zero_depth_is_still_accepted(self, capsys, sup_dir):
+        code, out, _ = run(capsys, "verify", GAP, "--supervisors",
+                           str(sup_dir), "--depth", "0")
+        assert code == 0 and "depth 0: pass" in out
+
+    @pytest.mark.parametrize("name, mangle", [
+        ("defaults.json", lambda text: text[:-5]),
+        ("defaults.json", lambda text: text.replace('"enable"', '"maybe"')),
+        ("defaults.json", lambda text: "[]"),
+        ("supervisor_1.json", lambda text: text.replace('"decision": "off"',
+                                                        '"decision": "maybe"')),
+        ("supervisor_1.json", lambda text: text.replace('"table"', '"tabel"')),
+    ], ids=["defaults-not-json", "defaults-unknown-value", "defaults-wrong-shape",
+            "supervisor-bad-decision", "supervisor-missing-field"])
+    def test_malformed_supervisor_files_exit_two(self, capsys, sup_dir, name,
+                                                 mangle):
+        path = sup_dir / name
+        mangled = mangle(path.read_text())
+        assert mangled != path.read_text()
+        path.write_text(mangled)
+        code, _, err = run(capsys, "verify", GAP, "--supervisors", str(sup_dir))
+        assert code == 2
+        assert name in err
+
+    def test_directory_as_model_file_exits_two(self, capsys, tmp_path):
+        code, _, err = run(capsys, "check", str(tmp_path))
+        assert code == 2
+        assert "directory" in err
+
+    def test_directory_as_defaults_file_exits_two(self, capsys, sup_dir):
+        (sup_dir / "defaults.json").unlink()
+        (sup_dir / "defaults.json").mkdir()
+        code, _, err = run(capsys, "verify", GAP, "--supervisors", str(sup_dir))
+        assert code == 2
+        assert "defaults.json" in err
+
+    def test_non_utf8_model_file_exits_two(self, capsys, tmp_path):
+        bad = tmp_path / "bad.des"
+        bad.write_bytes(b"supervisors 1\n\xff\xfe\n")
+        code, _, err = run(capsys, "check", str(bad))
+        assert code == 2
+        assert "UTF-8" in err
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", "infobs", "check", GAP],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "condition extended: holds" in proc.stdout

@@ -11,7 +11,7 @@ from infobs.errors import ModelError
 from infobs.observation import build_composite
 from infobs.randgen import instance_stream
 
-from conftest import FORMULA_SEED, random_formula
+from conftest import FORMULA_SEED, random_formula, reference_eval
 
 
 def world_after(frame, word):
@@ -129,6 +129,45 @@ class TestEval:
         for w, phi in queries:
             assert (legacy_gap_frame.eval(w, phi, "partial")
                     == fresh.eval(w, phi, "partial"))
+
+
+class TestTruthSets:
+    """Bottom-up labelling against the naive world-by-world semantics."""
+
+    @pytest.mark.parametrize("instances", ["n2_instances", "n3_instances"])
+    def test_agrees_with_the_reference_semantics(self, request, instances):
+        rng = random.Random(FORMULA_SEED)
+        for model, profile, frame in request.getfixturevalue(instances):
+            events = sorted(model.events)
+            for _ in range(4):
+                phi = random_formula(rng, events, profile.n, 3, macros=True)
+                event = rng.choice(events)
+                for relation in ("partial", "total"):
+                    expected = sum(
+                        1 << k for k, w in enumerate(frame.worlds)
+                        if reference_eval(frame, w, phi, relation, event))
+                    assert frame.truth_set(phi, relation, event) == expected
+                    for k, w in enumerate(frame.worlds):
+                        assert (frame.eval(w, phi, relation, event)
+                                == bool(expected >> k & 1))
+
+    def test_fixture_condition_lines_agree(self, conditional_bets_frame,
+                                           diamond_frame):
+        from infobs.conditions import _extended_lines
+        for frame in (conditional_bets_frame, diamond_frame):
+            for ev in sorted(frame.profile.sigma_c):
+                for line in _extended_lines(frame.profile, ev):
+                    bits = frame.truth_set(line, "partial", ev)
+                    for k, w in enumerate(frame.worlds):
+                        assert (bool(bits >> k & 1)
+                                == reference_eval(frame, w, line, "partial", ev))
+
+    def test_first_is_the_lowest_world_in_breadth_first_order(self, legacy_gap_frame):
+        frame = legacy_gap_frame
+        assert frame.first(frame.all_bits) == frame.composite.initial
+        illegal = frame.all_bits & ~frame.legal_bits
+        assert frame.first(illegal) == next(
+            w for w in frame.worlds if not frame.world_legal(w))
 
 
 class TestGuardTransform:

@@ -85,9 +85,9 @@ class TestOracleCondition:
         profile = SupervisionProfile((model.events,), (frozenset({"g"}),))
         assert oracle_condition(model, profile, "corrected")
 
-    def test_agreement_with_the_checkers(self, n2_instances):
+    def test_agreement_with_the_checkers(self, n2_instances, n3_instances):
         mismatches = 0
-        for model, profile, frame in n2_instances:
+        for model, profile, frame in [*n2_instances, *n3_instances]:
             checks = {
                 "extended": check_inf_obs_extended(frame, model, profile).holds,
                 "corrected": check_inf_obs_corrected(frame, model, profile).holds,
