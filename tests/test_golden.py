@@ -1,0 +1,73 @@
+"""Golden CLI outputs: exit code, stdout and stderr, replayed byte for byte.
+
+Covers ``check`` (text and ``--json``) and ``oracle --mode condition`` for
+every CLI condition on every example model, plus the refused flag
+combinations.  Regenerate after an intended output change with
+``PYTHONPATH=src python tests/test_golden.py``.
+"""
+
+import contextlib
+import io
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from infobs.cli import main
+
+MODELS = Path(__file__).resolve().parent.parent / "examples" / "models"
+GOLDEN = Path(__file__).resolve().parent / "golden" / "cli.json"
+
+CONDITIONS = ("extended", "corrected", "split", "legacy", "cp", "da",
+              "strong-cp", "strong-da")
+REFUSED = (("strong-cp", "--relation", "partial"),
+           ("corrected", "--relation", "total"),
+           ("extended", "--worlds", "all"))
+
+
+def cases() -> list[tuple[str, ...]]:
+    """Each case is (model file name, *CLI arguments after the command)."""
+    out = []
+    for path in sorted(MODELS.glob("*.des")):
+        for c in CONDITIONS:
+            out.append((path.name, "check", "--condition", c))
+            out.append((path.name, "check", "--condition", c, "--json"))
+            out.append((path.name, "oracle", "--mode", "condition",
+                        "--condition", c))
+    for c, flag, value in REFUSED:
+        out.append(("legacy_gap.des", "check", "--condition", c, flag, value))
+    return out
+
+
+def replay(case: tuple[str, ...]) -> dict:
+    name, command, *rest = case
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([command, str(MODELS / name), *rest])
+    return {"exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+
+def case_id(case: tuple[str, ...]) -> str:
+    return " ".join(case)
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads(GOLDEN.read_text(encoding="utf-8"))
+
+
+def test_the_golden_file_covers_every_case(golden):
+    assert sorted(golden) == sorted(case_id(c) for c in cases())
+
+
+@pytest.mark.parametrize("case", cases(), ids=case_id)
+def test_cli_output_matches_the_golden_file(golden, case):
+    assert replay(case) == golden[case_id(case)]
+
+
+if __name__ == "__main__":
+    table = {case_id(c): replay(c) for c in cases()}
+    GOLDEN.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n",
+                      encoding="utf-8")
+    sys.exit(0)
