@@ -12,10 +12,9 @@ from .automata import (Automaton, EquivalenceVerdict, PlantSpec,
                        SupervisionProfile, dfa_equivalent, format_word,
                        language_upto, legal_automaton, plant_automaton,
                        reachable, validate_model, validate_profile)
-from .conditions import (Counterexample, Verdict, can_disable, can_enable,
-                         check_controllability, check_coobservability,
-                         check_inf_obs_corrected, check_inf_obs_extended,
-                         check_inf_obs_legacy, default_frame, must_disable,
+from .conditions import (CONDITIONS, Condition, Counterexample, Verdict,
+                         can_disable, can_enable, check, check_controllability,
+                         check_inf_obs_extended, default_frame, must_disable,
                          must_enable)
 from .errors import (AlphabetMismatch, ControlConflict, EnumerationBound,
                      FormatError, InfobsError, InstanceTooLarge, ModelError,

@@ -84,14 +84,6 @@ class SupervisionProfile:
             out |= ctrl
         return out
 
-    @property
-    def sigma_o(self) -> frozenset[str]:
-        """Events observed by at least one supervisor."""
-        out: frozenset[str] = frozenset()
-        for obs in self.observable:
-            out |= obs
-        return out
-
     def sigma_uc(self, events: frozenset[str]) -> frozenset[str]:
         return events - self.sigma_c
 

@@ -10,63 +10,26 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import oracle as oracle_mod
 from .automata import format_word
-from .conditions import (Verdict, check_coobservability,
-                         check_inf_obs_corrected, check_inf_obs_extended,
-                         check_inf_obs_legacy, default_frame)
+from .conditions import CONDITIONS, Verdict, check, default_frame
 from .dot import composite_to_dot, model_to_dot
-from .errors import InfobsError, SynthesisError
+from .errors import InfobsError, ModelError, SynthesisError
 from .modelfile import (load_model, load_supervisors, save_supervisors,
                         supervisor_to_json)
 from .observation import World
 from .repl import run_simulation
 from .synthesis import synthesize, verify_solution
 
-CONDITIONS = ("extended", "corrected", "split", "legacy", "cp", "da",
-              "strong-cp", "strong-da")
+#: ``--condition`` choices: every row of the condition table but
+#: controllability, which ``synthesize`` checks on its own.
+CHOICES = tuple(c.replace("_", "-") for c in CONDITIONS if c != "controllability")
 
 
 class UsageError(Exception):
     pass
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated flag combination for the check command."""
-
-    condition: str
-    relation: str
-    worlds: str
-    as_json: bool
-
-    @classmethod
-    def from_args(cls, args) -> "RunConfig":
-        condition = args.condition
-        relation = args.relation
-        worlds = args.worlds
-        if condition in ("strong-cp", "strong-da", "legacy"):
-            if relation is None:
-                relation = "total"
-            elif relation == "partial" and condition != "legacy":
-                raise UsageError(f"{condition} is defined over the total relations")
-        else:
-            if relation is None:
-                relation = "partial"
-            elif relation == "total":
-                raise UsageError(f"{condition} is defined over the partial relations")
-        if condition == "legacy":
-            if worlds is None:
-                worlds = "all"
-        else:
-            if worlds is None:
-                worlds = "legal"
-            elif worlds == "all":
-                raise UsageError(f"{condition} quantifies over legal worlds only")
-        return cls(condition, relation, worlds, args.json)
 
 
 def _world_json(w: World) -> dict:
@@ -111,24 +74,16 @@ def _print_verdict(verdict: Verdict, as_json: bool) -> None:
 
 
 def _run_check(args) -> int:
-    config = RunConfig.from_args(args)
+    which = args.condition.replace("-", "_")
+    try:
+        relation, worlds = CONDITIONS[which].domains(args.condition, args.relation,
+                                                     args.worlds)
+    except ModelError as exc:
+        raise UsageError(str(exc)) from None
     model, profile = load_model(args.file)
-    frame = default_frame(model, profile)
-    condition = config.condition
-    if condition == "extended":
-        verdict = check_inf_obs_extended(frame, model, profile)
-    elif condition == "corrected":
-        verdict = check_inf_obs_corrected(frame, model, profile, "coupled")
-    elif condition == "split":
-        verdict = check_inf_obs_corrected(frame, model, profile, "split")
-    elif condition == "legacy":
-        verdict = check_inf_obs_legacy(frame, model, profile,
-                                       world_domain=config.worlds,
-                                       relation=config.relation)
-    else:
-        verdict = check_coobservability(frame, model, profile,
-                                        condition.replace("-", "_"))
-    _print_verdict(verdict, config.as_json)
+    verdict = check(default_frame(model, profile), model, profile, which,
+                    relation, worlds)
+    _print_verdict(verdict, args.json)
     return 0 if verdict.holds else 1
 
 
@@ -162,9 +117,11 @@ def _run_synthesize(args) -> int:
 
 
 def _check_depth(depth: int | None) -> None:
-    # A negative bound enumerates no word at all and would pass vacuously.
-    if depth is not None and depth < 0:
-        raise UsageError(f"--depth must be nonnegative, got {depth}")
+    # A negative bound enumerates no word at all and would pass vacuously;
+    # the oracles refuse a bound above their ceiling, so refuse it up front.
+    if depth is not None and not 0 <= depth <= oracle_mod.MAX_ORACLE_DEPTH:
+        raise UsageError(f"--depth must be between 0 and"
+                         f" {oracle_mod.MAX_ORACLE_DEPTH}, got {depth}")
 
 
 def _run_verify(args) -> int:
@@ -223,12 +180,10 @@ def _run_oracle(args) -> int:
     model, profile = load_model(args.file)
     if args.mode == "condition":
         which = (args.condition or "extended").replace("-", "_")
-        if which == "legacy":
-            value = oracle_mod.oracle_condition(model, profile, which,
-                                                relation="total",
-                                                world_domain="all")
-        else:
-            value = oracle_mod.oracle_condition(model, profile, which)
+        row = CONDITIONS[which]
+        value = oracle_mod.oracle_condition(model, profile, which,
+                                            relation=row.relations[0],
+                                            world_domain=row.worlds[0])
         print(f"oracle {which}: {'holds' if value else 'fails'}")
         return 0 if value else 1
     if args.mode == "solve":
@@ -265,13 +220,13 @@ def build_parser() -> argparse.ArgumentParser:
                     " checking, knowledge-based synthesis, verification.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    check = sub.add_parser("check", help="decide a condition for a model file")
-    check.add_argument("file")
-    check.add_argument("--condition", choices=CONDITIONS, default="extended")
-    check.add_argument("--relation", choices=("partial", "total"), default=None)
-    check.add_argument("--worlds", choices=("legal", "all"), default=None)
-    check.add_argument("--json", action="store_true")
-    check.set_defaults(func=_run_check)
+    chk = sub.add_parser("check", help="decide a condition for a model file")
+    chk.add_argument("file")
+    chk.add_argument("--condition", choices=CHOICES, default="extended")
+    chk.add_argument("--relation", choices=("partial", "total"), default=None)
+    chk.add_argument("--worlds", choices=("legal", "all"), default=None)
+    chk.add_argument("--json", action="store_true")
+    chk.set_defaults(func=_run_check)
 
     synth = sub.add_parser("synthesize", help="synthesize supervisors")
     synth.add_argument("file")
@@ -302,11 +257,9 @@ def build_parser() -> argparse.ArgumentParser:
     orc.add_argument("file")
     orc.add_argument("--mode", choices=("condition", "solve", "search"),
                      required=True)
-    orc.add_argument("--condition", choices=CONDITIONS, default=None)
+    orc.add_argument("--condition", choices=CHOICES, default=None)
     orc.add_argument("--supervisors", default=None)
     orc.add_argument("--depth", type=int, default=None)
-    orc.add_argument("--seed", type=int, default=None,
-                     help="reserved; current oracle modes are deterministic")
     orc.set_defaults(func=_run_oracle)
     return parser
 

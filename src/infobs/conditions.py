@@ -11,8 +11,9 @@ All checkers share a vocabulary of event-indexed shorthand formulas:
 physical possibility, and ``must_enable`` implies possibility, both by
 construction of the valuation.
 
-The checkers differ in which knowledge lines they accept, which accessibility
-relation they read, and which worlds and events they quantify over.  Verdicts
+The conditions differ in which knowledge lines they accept, which
+accessibility relation they read, and which worlds and events they quantify
+over; :data:`CONDITIONS` records these facts once per condition.  Verdicts
 carry a per-event default partition when they hold and a deterministic
 counterexample (shortest witnessing word, ties lexicographic) when they fail.
 """
@@ -20,7 +21,7 @@ counterexample (shortest witnessing word, ties lexicographic) when they fail.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal, Mapping
+from typing import Callable, Literal, Mapping
 
 from .automata import PlantSpec, SupervisionProfile, Word
 from .errors import ModelError
@@ -95,36 +96,10 @@ def default_frame(model: PlantSpec, profile: SupervisionProfile) -> KripkeFrame:
     return build_frame(build_composite(model, profile), model, profile)
 
 
-def _uniform_defaults(profile: SupervisionProfile,
-                      dft: FusedDecision) -> dict[str, FusedDecision]:
-    return {ev: dft for ev in sorted(profile.sigma_c)}
-
-
 def _counterexample(frame: KripkeFrame, event: str, bad: int) -> Counterexample:
     """The first world of the failing set ``bad``, in breadth-first order."""
     w = frame.first(bad)
     return Counterexample(event, w, frame.witness(w))
-
-
-# ---------------------------------------------------------------------------
-# Controllability
-
-def check_controllability(model: PlantSpec, profile: SupervisionProfile,
-                          frame: KripkeFrame | None = None) -> Verdict:
-    """Uncontrollable events may never leave the legal behaviour.
-
-    Holds iff every uncontrollable event that is physically possible at a
-    legal world is also legal there.
-    """
-    if frame is None:
-        frame = default_frame(model, profile)
-    for ev in sorted(profile.sigma_uc(model.events)):
-        bad = frame.legal_bits & ~frame.truth_set(can_enable(ev))
-        if bad:
-            return Verdict("controllability", False,
-                           counterexample=_counterexample(frame, ev, bad))
-    return Verdict("controllability", True,
-                   defaults=_uniform_defaults(profile, ENABLE))
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +160,7 @@ def check_inf_obs_extended(frame: KripkeFrame, model: PlantSpec,
 
 
 # ---------------------------------------------------------------------------
-# Corrected two-supervisor-style condition (partial relations, legal worlds)
+# Requirement formulas of the other conditions
 
 def _coupled_formula(profile: SupervisionProfile, event: str) -> Formula:
     """One supervisor can certify another's knowledge, or enabling is safe."""
@@ -219,82 +194,116 @@ def _split_formula(profile: SupervisionProfile, event: str) -> Formula:
     return Or(or_all(parts), e)
 
 
-Shape = Literal["coupled", "split"]
+def _veto(profile: SupervisionProfile, event: str) -> Formula:
+    """Wherever the event must stay disabled, someone knows it can be."""
+    return Or(SomeoneKnows(can_disable(event)), can_enable(event))
 
 
-def check_inf_obs_corrected(frame: KripkeFrame, model: PlantSpec,
-                            profile: SupervisionProfile,
-                            shape: Shape = "coupled") -> Verdict:
-    """Inference-observability over partial relations and legal worlds."""
-    name = f"corrected-{shape}" if shape != "coupled" else "corrected"
-    builder = _coupled_formula if shape == "coupled" else _split_formula
-    for ev in sorted(profile.sigma_c):
-        bad = frame.legal_bits & ~frame.truth_set(builder(profile, ev), "partial", ev)
-        if bad:
-            return Verdict(name, False, counterexample=_counterexample(frame, ev, bad))
-    return Verdict(name, True, defaults=_uniform_defaults(profile, ENABLE))
+def _approve(profile: SupervisionProfile, event: str) -> Formula:
+    """Wherever the event must stay enabled, someone knows it can be."""
+    return Or(SomeoneKnows(can_enable(event)), can_disable(event))
 
 
 # ---------------------------------------------------------------------------
-# Legacy condition (pre-correction form) with explicit quantification flags
+# The condition table
 
 WorldDomain = Literal["legal", "all"]
-SigmaDomain = Literal["controllable", "all"]
+EventDomain = Literal["controllable", "uncontrollable", "all"]
 
 
-def check_inf_obs_legacy(frame: KripkeFrame, model: PlantSpec,
-                         profile: SupervisionProfile,
-                         world_domain: WorldDomain = "all",
-                         sigma_domain: SigmaDomain = "controllable",
-                         relation: Relation = "total") -> Verdict:
-    """The original formulation, quantifiers and relation exposed as flags.
+@dataclass(frozen=True)
+class Condition:
+    """One row of the condition table.
 
-    The published form reads the total relations and ranges over *all*
-    reachable worlds, which demands correct decisions even after the system
-    has left the legal behaviour.  Running it with the partial relation over
-    legal worlds and ``sigma_domain="all"`` instead gives exactly
-    controllability plus the corrected condition, which is how the
-    separation theorem is exercised.
+    A condition holds when ``requirement(profile, event)`` is true at every
+    world of the world domain, for every event of the event domain, read
+    under the relation.  The first entry of ``relations`` and of ``worlds``
+    is the default; the others are what a caller may ask for instead.  When
+    the condition holds every controlled event gets ``default``.  The
+    extended condition has no requirement: it chooses its defaults per event
+    and is decided by :func:`check_inf_obs_extended`.
     """
-    events = model.events if sigma_domain == "all" else profile.sigma_c
-    domain = frame.legal_bits if world_domain == "legal" else frame.all_bits
-    for ev in sorted(events):
-        bad = domain & ~frame.truth_set(_coupled_formula(profile, ev), relation, ev)
-        if bad:
-            return Verdict("legacy", False,
-                           counterexample=_counterexample(frame, ev, bad))
-    return Verdict("legacy", True, defaults=_uniform_defaults(profile, ENABLE))
+
+    verdict: str
+    requirement: Callable[[SupervisionProfile, str], Formula] | None
+    relations: tuple[Relation, ...] = ("partial",)
+    worlds: tuple[WorldDomain, ...] = ("legal",)
+    events: EventDomain = "controllable"
+    default: FusedDecision = ENABLE
+
+    def domains(self, name: str, relation: Relation | None = None,
+                worlds: WorldDomain | None = None) -> tuple[Relation, WorldDomain]:
+        """Fill in the default relation and world domain; refuse others."""
+        relation = relation or self.relations[0]
+        worlds = worlds or self.worlds[0]
+        if relation not in self.relations:
+            raise ModelError(f"{name} is defined over the {self.relations[0]} relations")
+        if worlds not in self.worlds:
+            raise ModelError(f"{name} quantifies over {self.worlds[0]} worlds only")
+        return relation, worlds
 
 
-# ---------------------------------------------------------------------------
-# Co-observability variants (restricted decision sets)
+#: Controllability; the observability family from weakest (extended) to the
+#: corrected condition and its split form; the published legacy form, which
+#: reads the total relations over all worlds; and the co-observability
+#: variants, which restrict the decision set (``cp``: vote off or abstain,
+#: default enable; ``da``: the mirror image) and, when strong, read the
+#: total relations.
+CONDITIONS: dict[str, Condition] = {
+    "controllability": Condition("controllability",
+                                 lambda profile, ev: can_enable(ev),
+                                 events="uncontrollable"),
+    "extended": Condition("extended", None),
+    "corrected": Condition("corrected", _coupled_formula),
+    "split": Condition("corrected-split", _split_formula),
+    "legacy": Condition("legacy", _coupled_formula, ("total", "partial"),
+                        ("all", "legal")),
+    "cp": Condition("cp", _veto),
+    "da": Condition("da", _approve, default=DISABLE),
+    "strong_cp": Condition("strong_cp", _veto, ("total",)),
+    "strong_da": Condition("strong_da", _approve, ("total",), default=DISABLE),
+}
 
-Variant = Literal["cp", "da", "strong_cp", "strong_da"]
 
+def check(frame: KripkeFrame, model: PlantSpec, profile: SupervisionProfile,
+          which: str, relation: Relation | None = None,
+          worlds: WorldDomain | None = None,
+          events: EventDomain | None = None) -> Verdict:
+    """Decide the condition ``which`` (a key of :data:`CONDITIONS`).
 
-def check_coobservability(frame: KripkeFrame, model: PlantSpec,
-                          profile: SupervisionProfile,
-                          variant: Variant) -> Verdict:
-    """Veto-only and approve-only specializations.
-
-    ``cp``: supervisors may only vote off or abstain, default enable, so
-    wherever the event must stay disabled someone has to know it can be
-    disabled.  ``da`` is the mirror image (votes on/abstain, default
-    disable).  The strong variants read the total relations instead of the
-    partial ones.
+    ``relation`` and ``worlds`` default to the row's first entries and must
+    be among them; ``events`` overrides the row's event domain.  Running
+    ``legacy`` with the partial relation over legal worlds and all events
+    gives exactly controllability plus the corrected condition, which is how
+    the separation theorem is exercised.
     """
-    if variant not in ("cp", "da", "strong_cp", "strong_da"):
-        raise ModelError(f"unknown co-observability variant {variant!r}")
-    relation: Relation = "total" if variant.startswith("strong") else "partial"
-    veto_style = variant.endswith("cp")
-    dft = ENABLE if veto_style else DISABLE
-    for ev in sorted(profile.sigma_c):
-        if veto_style:
-            phi = Or(SomeoneKnows(can_disable(ev)), can_enable(ev))
-        else:
-            phi = Or(SomeoneKnows(can_enable(ev)), can_disable(ev))
-        bad = frame.legal_bits & ~frame.truth_set(phi, relation, ev)
+    row = CONDITIONS.get(which)
+    if row is None:
+        raise ModelError(f"unknown condition {which!r}")
+    relation, worlds = row.domains(which, relation, worlds)
+    if row.requirement is None:
+        return check_inf_obs_extended(frame, model, profile)
+    pool = {"controllable": profile.sigma_c, "all": model.events,
+            "uncontrollable": profile.sigma_uc(model.events)}.get(events or row.events)
+    if pool is None:
+        raise ModelError(f"unknown event domain {events!r}")
+    domain = frame.legal_bits if worlds == "legal" else frame.all_bits
+    for ev in sorted(pool):
+        bad = domain & ~frame.truth_set(row.requirement(profile, ev), relation, ev)
         if bad:
-            return Verdict(variant, False,
+            return Verdict(row.verdict, False,
                            counterexample=_counterexample(frame, ev, bad))
-    return Verdict(variant, True, defaults=_uniform_defaults(profile, dft))
+    return Verdict(row.verdict, True,
+                   defaults={ev: row.default for ev in sorted(profile.sigma_c)})
+
+
+def check_controllability(model: PlantSpec, profile: SupervisionProfile,
+                          frame: KripkeFrame | None = None) -> Verdict:
+    """Uncontrollable events may never leave the legal behaviour.
+
+    Holds iff every uncontrollable event that is physically possible at a
+    legal world is also legal there.
+    """
+    if frame is None:
+        frame = default_frame(model, profile)
+    return check(frame, model, profile, "controllability")

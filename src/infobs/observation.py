@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .automata import Automaton, PlantSpec, SupervisionProfile, Word
 from .errors import ModelError
@@ -125,12 +125,15 @@ class Composite:
         return Automaton(self.events, self.initial, dict(self.delta))
 
 
-def compose(model: PlantSpec, observers: Sequence[Observer]) -> Composite:
+def compose(model: PlantSpec, observers: Sequence[Observer],
+            enabled: Callable[[World, str], bool] | None = None) -> Composite:
     """Walk the reachable part of ``G x P_1(G) x ... x P_n(G)``.
 
     The plant component follows the plant's transition function; observer
     ``i`` advances only on events it observes.  For observers built by
     :func:`project`, the plant state is always a member of every estimate.
+    ``enabled(world, event)``, when given, drops every move it rejects, which
+    turns the walk into a closed loop under supervision.
     """
     if len(observers) < 1:
         raise ModelError("the composite needs at least one observer")
@@ -144,7 +147,7 @@ def compose(model: PlantSpec, observers: Sequence[Observer]) -> Composite:
         world = queue.popleft()
         for ev in sorted(model.events):
             dst = model.delta.get((world.plant, ev))
-            if dst is None:
+            if dst is None or (enabled is not None and not enabled(world, ev)):
                 continue
             estimates = tuple(o.step(est, ev) for o, est in zip(observers, world.estimates))
             target = World(dst, estimates)

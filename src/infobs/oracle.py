@@ -58,6 +58,8 @@ class OracleVerdict:
 
 def _legal_words(model: PlantSpec, k: int) -> list[tuple[Word, str]]:
     """Legal words up to length k with their plant states, shortest first."""
+    if k > MAX_ORACLE_DEPTH:
+        raise EnumerationBound(f"depth {k} exceeds the oracle ceiling {MAX_ORACLE_DEPTH}")
     out = [((), model.initial)]
     frontier = [((), model.initial)]
     for _ in range(k):
@@ -74,8 +76,6 @@ def _legal_words(model: PlantSpec, k: int) -> list[tuple[Word, str]]:
 def oracle_solves(model: PlantSpec, profile: SupervisionProfile,
                   result: SynthesisResult, k: int = 6) -> OracleVerdict:
     """Replay the solvability requirements over all words of length <= k."""
-    if k > MAX_ORACLE_DEPTH:
-        raise EnumerationBound(f"depth {k} exceeds the oracle ceiling {MAX_ORACLE_DEPTH}")
     sigma_c = profile.sigma_c
     for word, state in _legal_words(model, k):
         for ev in sorted(model.events):

@@ -13,7 +13,6 @@ demand.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Mapping
@@ -28,7 +27,7 @@ from .errors import (ModelError, NotControllable, NotInferenceObservable,
 from .fusion import ABSTAIN, ENABLE, OFF, ON, WOFF, WON, ControlDecision, \
     FusedDecision, fuse
 from .kripke import Implies, Know, KripkeFrame, OtherKnows
-from .observation import Estimate, Observer, World, project
+from .observation import Estimate, Observer, World, compose, project
 
 
 class PolicyCase(Enum):
@@ -189,33 +188,16 @@ def closed_loop(model: PlantSpec, profile: SupervisionProfile,
     the fused decision of its controllers to be enable.  Fusion errors
     propagate; they are unreachable for synthesized supervisors.
     """
-    observers = [s.observer for s in result.supervisors]
-    if len(observers) != profile.n:
+    if len(result.supervisors) != profile.n:
         raise ModelError("one supervisor per profile entry is required")
-    initial = World(model.initial, tuple(o.initial for o in observers))
-    delta: dict[tuple[World, str], World] = {}
-    seen = {initial}
-    queue = deque([initial])
-    while queue:
-        world = queue.popleft()
-        for ev in sorted(model.events):
-            dst = model.delta.get((world.plant, ev))
-            if dst is None:
-                continue
-            controllers = profile.controllers(ev)
-            if controllers:
-                bag = [result.supervisors[i].decide(world.estimates[i], ev)
-                       for i in controllers]
-                if fuse(bag, result.defaults[ev]) is not ENABLE:
-                    continue
-            estimates = tuple(o.step(est, ev)
-                              for o, est in zip(observers, world.estimates))
-            target = World(dst, estimates)
-            delta[(world, ev)] = target
-            if target not in seen:
-                seen.add(target)
-                queue.append(target)
-    return Automaton(model.events, initial, delta)
+
+    def enabled(world: World, ev: str) -> bool:
+        bag = [result.supervisors[i].decide(world.estimates[i], ev)
+               for i in profile.controllers(ev)]
+        return not bag or fuse(bag, result.defaults[ev]) is ENABLE
+
+    return compose(model, [s.observer for s in result.supervisors],
+                   enabled).automaton()
 
 
 def verify_solution(model: PlantSpec, profile: SupervisionProfile,

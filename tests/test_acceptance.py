@@ -10,9 +10,8 @@ import time
 import pytest
 
 from infobs import (Automaton, DISABLE, ENABLE, OFF, ON, WOFF, WON, ABSTAIN,
-                    check_controllability, check_coobservability,
-                    check_inf_obs_corrected, check_inf_obs_extended,
-                    check_inf_obs_legacy, closed_loop, default_frame,
+                    check, check_controllability, check_inf_obs_extended,
+                    closed_loop, default_frame,
                     dfa_equivalent, exhaustive_supervisor_search, fuse,
                     fuse_legacy_pair, guard_transform, legal_automaton,
                     oracle_solves, parse_model, serialize_model, synthesize,
@@ -56,11 +55,11 @@ def test_criterion_02_legacy_gap_phenomenon(legacy_gap, legacy_gap_frame):
     started = time.perf_counter()
     model, profile = legacy_gap
     frame = legacy_gap_frame
-    legacy = check_inf_obs_legacy(frame, model, profile, world_domain="all",
-                                  relation="total")
+    legacy = check(frame, model, profile, "legacy", worlds="all",
+                   relation="total")
     assert not legacy.holds
     assert legacy.counterexample.string == ("g", "a")
-    assert check_inf_obs_corrected(frame, model, profile).holds
+    assert check(frame, model, profile, "corrected").holds
     assert check_controllability(model, profile, frame).holds
     result = synthesize(model, profile, frame)
     loop = closed_loop(model, profile, result)
@@ -79,16 +78,16 @@ def test_criterion_03_conditional_bets_separation(conditional_bets,
     started = time.perf_counter()
     model, profile = conditional_bets
     frame = conditional_bets_frame
-    cp = check_coobservability(frame, model, profile, "cp")
+    cp = check(frame, model, profile, "cp")
     assert not cp.holds and cp.counterexample.string == ()
-    assert check_inf_obs_corrected(frame, model, profile).holds
+    assert check(frame, model, profile, "corrected").holds
     assert check_inf_obs_extended(frame, model, profile).holds
     # The approve-only failure lives on the legality mirror of the fixture.
     mirror_model, mirror_profile = conditional_bets_mirror
-    da = check_coobservability(mirror_frame, mirror_model, mirror_profile, "da")
+    da = check(mirror_frame, mirror_model, mirror_profile, "da")
     assert not da.holds and da.counterexample.string == ()
-    assert check_inf_obs_corrected(mirror_frame, mirror_model,
-                                   mirror_profile).holds
+    assert check(mirror_frame, mirror_model,
+                 mirror_profile, "corrected").holds
     assert check_inf_obs_extended(mirror_frame, mirror_model,
                                   mirror_profile).holds
 
@@ -116,8 +115,8 @@ def test_criterion_04_coupled_split_equivalence(n2_instances):
     assert len(n2_instances) >= 200
     disagreements = 0
     for model, profile, frame in n2_instances:
-        coupled = check_inf_obs_corrected(frame, model, profile, "coupled")
-        split = check_inf_obs_corrected(frame, model, profile, "split")
+        coupled = check(frame, model, profile, "corrected")
+        split = check(frame, model, profile, "split")
         disagreements += (coupled.holds != split.holds)
     assert disagreements == 0
     report(4, "coupled/split equivalence on 200+ instances")
@@ -127,10 +126,10 @@ def test_criterion_05_controllability_separation(n2_instances):
     disagreements = 0
     for model, profile, frame in n2_instances:
         left = (check_controllability(model, profile, frame).holds
-                and check_inf_obs_corrected(frame, model, profile).holds)
-        right = check_inf_obs_legacy(frame, model, profile,
-                                     world_domain="legal", sigma_domain="all",
-                                     relation="partial").holds
+                and check(frame, model, profile, "corrected").holds)
+        right = check(frame, model, profile, "legacy",
+                      worlds="legal", events="all",
+                      relation="partial").holds
         disagreements += (left != right)
     assert disagreements == 0
     report(5, "controllability separation on the instance set")
@@ -191,13 +190,13 @@ def test_criterion_09_weakening_chain(n2_instances, conditional_bets,
     violations = 0
     for model, profile, frame in n2_instances:
         extended = check_inf_obs_extended(frame, model, profile).holds
-        corrected = check_inf_obs_corrected(frame, model, profile).holds
-        cp = check_coobservability(frame, model, profile, "cp").holds
-        da = check_coobservability(frame, model, profile, "da").holds
-        strong_cp = check_coobservability(frame, model, profile,
-                                          "strong_cp").holds
-        strong_da = check_coobservability(frame, model, profile,
-                                          "strong_da").holds
+        corrected = check(frame, model, profile, "corrected").holds
+        cp = check(frame, model, profile, "cp").holds
+        da = check(frame, model, profile, "da").holds
+        strong_cp = check(frame, model, profile,
+                          "strong_cp").holds
+        strong_da = check(frame, model, profile,
+                          "strong_da").holds
         for stronger, weaker in ((corrected, extended), (cp, extended),
                                  (da, extended), (strong_cp, cp),
                                  (strong_da, da)):
@@ -206,15 +205,15 @@ def test_criterion_09_weakening_chain(n2_instances, conditional_bets,
     # Strictness witnesses from the fixtures of criteria 2 and 3.
     model, profile = conditional_bets
     assert check_inf_obs_extended(conditional_bets_frame, model, profile).holds
-    assert not check_coobservability(conditional_bets_frame, model, profile,
-                                     "cp").holds
+    assert not check(conditional_bets_frame, model, profile,
+                     "cp").holds
     model, profile = conditional_bets_mirror
     assert check_inf_obs_extended(mirror_frame, model, profile).holds
-    assert not check_coobservability(mirror_frame, model, profile, "da").holds
+    assert not check(mirror_frame, model, profile, "da").holds
     model, profile = legacy_gap
     assert check_inf_obs_extended(legacy_gap_frame, model, profile).holds
-    assert not check_inf_obs_legacy(legacy_gap_frame, model, profile,
-                                    world_domain="all", relation="total").holds
+    assert not check(legacy_gap_frame, model, profile, "legacy",
+                     worlds="all", relation="total").holds
     report(9, "weakening chain with strict witnesses")
 
 
@@ -232,8 +231,8 @@ def test_criterion_10_round_trip_and_deterministic_reporting():
         out = []
         model, profile = parse_model((MODELS / "legacy_gap.des").read_text())
         frame = default_frame(model, profile)
-        legacy = check_inf_obs_legacy(frame, model, profile,
-                                      world_domain="all", relation="total")
+        legacy = check(frame, model, profile, "legacy",
+                       worlds="all", relation="total")
         out.append((legacy.counterexample.event, legacy.counterexample.string))
         model, profile = parse_model(
             (MODELS / "diamond_unsolvable.des").read_text())
@@ -244,7 +243,7 @@ def test_criterion_10_round_trip_and_deterministic_reporting():
         model, profile = parse_model(
             (MODELS / "conditional_bets.des").read_text())
         frame = default_frame(model, profile)
-        cp = check_coobservability(frame, model, profile, "cp")
+        cp = check(frame, model, profile, "cp")
         out.append((cp.counterexample.event, cp.counterexample.string))
         return out
 

@@ -136,7 +136,6 @@ class TestSupervisionProfile:
         assert profile.n == 2
         assert profile.sigma_c == frozenset({"g"})
         assert profile.sigma_uc(model.events) == frozenset({"a"})
-        assert profile.sigma_o == frozenset({"a"})
         assert profile.controllers("g") == (0, 1)
         assert profile.controllers("a") == ()
 

@@ -216,6 +216,38 @@ class TestInputHardening:
                                  "--depth", "-3")
             assert code == 2 and not out and "--depth" in err
 
+    def test_depth_above_the_oracle_ceiling_is_a_usage_error(self, capsys,
+                                                            sup_dir, tmp_path):
+        loop = tmp_path / "loop.des"
+        loop.write_text("supervisors 1\nevent a obs=1 ctrl=1\n"
+                        "state q0 init legal\ntrans q0 a q0 legal\n")
+        for argv in (("oracle", str(loop), "--mode", "search", "--depth", "50000"),
+                     ("oracle", GAP, "--mode", "search", "--depth", "11"),
+                     ("verify", GAP, "--supervisors", str(sup_dir),
+                      "--depth", "11")):
+            code, out, err = run(capsys, *argv)
+            assert code == 2 and not out and "--depth" in err
+
+    def test_default_search_depth_above_the_ceiling_exits_two(self, capsys,
+                                                              tmp_path):
+        # Ten states give a default depth of 11; one blind supervisor keeps
+        # the table to a single cell, so only the depth ceiling can refuse.
+        states = [f"q{k}" for k in range(10)]
+        chain = tmp_path / "chain.des"
+        chain.write_text(
+            "supervisors 1\nevent a ctrl=1\n"
+            + "".join(f"state {q}{' init' if k == 0 else ''} legal\n"
+                      for k, q in enumerate(states))
+            + "".join(f"trans {q} a {r} legal\n"
+                      for q, r in zip(states, states[1:])))
+        code, out, err = run(capsys, "oracle", str(chain), "--mode", "search")
+        assert code == 2 and not out and "ceiling" in err
+
+    def test_oracle_seed_is_not_a_flag(self, capsys):
+        code, out, _ = run(capsys, "oracle", GAP, "--mode", "search",
+                           "--seed", "3")
+        assert code == 2 and not out
+
     def test_zero_depth_is_still_accepted(self, capsys, sup_dir):
         code, out, _ = run(capsys, "verify", GAP, "--supervisors",
                            str(sup_dir), "--depth", "0")

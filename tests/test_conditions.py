@@ -1,10 +1,12 @@
 """Controllability and the observability condition family."""
 
+import pytest
+
 from infobs import (DISABLE, ENABLE, PlantSpec, SupervisionProfile,
-                    can_enable, check_controllability,
-                    check_coobservability, check_inf_obs_corrected,
-                    check_inf_obs_extended, check_inf_obs_legacy,
-                    default_frame, must_disable, must_enable)
+                    can_enable, check, check_controllability,
+                    check_inf_obs_extended, default_frame, must_disable,
+                    must_enable)
+from infobs.errors import ModelError
 from infobs.kripke import And, Not, Var, possible
 from infobs.randgen import instance_stream
 
@@ -117,27 +119,26 @@ class TestExtended:
 class TestCorrected:
     def test_gap_model_holds_in_both_shapes(self, legacy_gap, legacy_gap_frame):
         model, profile = legacy_gap
-        for shape in ("coupled", "split"):
-            assert check_inf_obs_corrected(legacy_gap_frame, model, profile,
-                                           shape).holds
+        for which in ("corrected", "split"):
+            assert check(legacy_gap_frame, model, profile, which).holds
 
     def test_bets_model_holds(self, conditional_bets, conditional_bets_frame):
         model, profile = conditional_bets
-        assert check_inf_obs_corrected(conditional_bets_frame, model,
-                                       profile).holds
+        assert check(conditional_bets_frame, model,
+                     profile, "corrected").holds
 
     def test_symmetric_diamond_fails_at_the_initial_world(self, diamond,
                                                           diamond_frame):
         model, profile = diamond
-        verdict = check_inf_obs_corrected(diamond_frame, model, profile)
+        verdict = check(diamond_frame, model, profile, "corrected")
         assert not verdict.holds
         assert verdict.counterexample.string == ()
 
     def test_coupled_and_split_always_agree(self, n2_instances):
         disagreements = 0
         for model, profile, frame in n2_instances:
-            coupled = check_inf_obs_corrected(frame, model, profile, "coupled")
-            split = check_inf_obs_corrected(frame, model, profile, "split")
+            coupled = check(frame, model, profile, "corrected")
+            split = check(frame, model, profile, "split")
             disagreements += (coupled.holds != split.holds)
         assert disagreements == 0
 
@@ -145,23 +146,23 @@ class TestCorrected:
 class TestLegacy:
     def test_gap_model_fails_over_all_worlds(self, legacy_gap, legacy_gap_frame):
         model, profile = legacy_gap
-        verdict = check_inf_obs_legacy(legacy_gap_frame, model, profile,
-                                       world_domain="all", relation="total")
+        verdict = check(legacy_gap_frame, model, profile, "legacy",
+                        worlds="all", relation="total")
         assert not verdict.holds
         assert verdict.counterexample.event == "g"
         assert verdict.counterexample.string == ("g", "a")
 
     def test_gap_model_holds_over_legal_worlds(self, legacy_gap, legacy_gap_frame):
         model, profile = legacy_gap
-        assert check_inf_obs_legacy(legacy_gap_frame, model, profile,
-                                    world_domain="legal", relation="total").holds
+        assert check(legacy_gap_frame, model, profile, "legacy",
+                     worlds="legal", relation="total").holds
 
     def test_everything_legal_makes_legacy_agree_with_corrected(self):
         for model, profile in instance_stream(113, 25, legal_state_bias=1.1):
             frame = default_frame(model, profile)
-            legacy = check_inf_obs_legacy(frame, model, profile,
-                                          world_domain="all", relation="total")
-            corrected = check_inf_obs_corrected(frame, model, profile)
+            legacy = check(frame, model, profile, "legacy",
+                           worlds="all", relation="total")
+            corrected = check(frame, model, profile, "corrected")
             assert legacy.holds == corrected.holds
 
     def test_separating_controllability(self, n2_instances):
@@ -170,11 +171,11 @@ class TestLegacy:
         disagreements = 0
         for model, profile, frame in n2_instances:
             left = (check_controllability(model, profile, frame).holds
-                    and check_inf_obs_corrected(frame, model, profile).holds)
-            right = check_inf_obs_legacy(frame, model, profile,
-                                         world_domain="legal",
-                                         sigma_domain="all",
-                                         relation="partial").holds
+                    and check(frame, model, profile, "corrected").holds)
+            right = check(frame, model, profile, "legacy",
+                          worlds="legal",
+                          events="all",
+                          relation="partial").holds
             disagreements += (left != right)
         assert disagreements == 0
 
@@ -183,25 +184,25 @@ class TestCoobservability:
     def test_veto_style_fails_on_the_bets_model(self, conditional_bets,
                                                 conditional_bets_frame):
         model, profile = conditional_bets
-        verdict = check_coobservability(conditional_bets_frame, model,
-                                        profile, "cp")
+        verdict = check(conditional_bets_frame, model,
+                        profile, "cp")
         assert not verdict.holds
         assert verdict.counterexample.string == ()
 
     def test_veto_style_holds_on_the_gap_model(self, legacy_gap,
                                                legacy_gap_frame):
         model, profile = legacy_gap
-        assert check_coobservability(legacy_gap_frame, model, profile,
-                                     "cp").holds
+        assert check(legacy_gap_frame, model, profile,
+                     "cp").holds
 
     def test_approve_style_fails_on_the_mirrored_model(self, conditional_bets_mirror,
                                                        mirror_frame):
         model, profile = conditional_bets_mirror
-        verdict = check_coobservability(mirror_frame, model, profile, "da")
+        verdict = check(mirror_frame, model, profile, "da")
         assert not verdict.holds
         assert verdict.counterexample.string == ()
         # and the mirror's veto side is fine, mirroring the bets model
-        assert check_coobservability(mirror_frame, model, profile, "cp").holds
+        assert check(mirror_frame, model, profile, "cp").holds
 
     def test_approve_style_holds_on_the_bets_model(self, conditional_bets,
                                                    conditional_bets_frame):
@@ -209,14 +210,14 @@ class TestCoobservability:
         # knower, so the approve-only architecture suffices here; the
         # mirrored model is the one that defeats it.
         model, profile = conditional_bets
-        assert check_coobservability(conditional_bets_frame, model, profile,
-                                     "da").holds
+        assert check(conditional_bets_frame, model, profile,
+                     "da").holds
 
     def test_defaults_carry_the_architecture_bias(self, legacy_gap,
                                                   legacy_gap_frame):
         model, profile = legacy_gap
-        cp = check_coobservability(legacy_gap_frame, model, profile, "cp")
-        da = check_coobservability(legacy_gap_frame, model, profile, "da")
+        cp = check(legacy_gap_frame, model, profile, "cp")
+        da = check(legacy_gap_frame, model, profile, "da")
         assert cp.defaults == {"g": ENABLE}
         assert da.defaults == {"g": DISABLE}
 
@@ -226,13 +227,13 @@ class TestWeakeningChain:
         violations = 0
         for model, profile, frame in n2_instances:
             extended = check_inf_obs_extended(frame, model, profile).holds
-            corrected = check_inf_obs_corrected(frame, model, profile).holds
-            cp = check_coobservability(frame, model, profile, "cp").holds
-            da = check_coobservability(frame, model, profile, "da").holds
-            strong_cp = check_coobservability(frame, model, profile,
-                                              "strong_cp").holds
-            strong_da = check_coobservability(frame, model, profile,
-                                              "strong_da").holds
+            corrected = check(frame, model, profile, "corrected").holds
+            cp = check(frame, model, profile, "cp").holds
+            da = check(frame, model, profile, "da").holds
+            strong_cp = check(frame, model, profile,
+                              "strong_cp").holds
+            strong_da = check(frame, model, profile,
+                              "strong_da").holds
             for stronger, weaker in ((corrected, extended), (cp, extended),
                                      (da, extended), (strong_cp, cp),
                                      (strong_da, da)):
@@ -243,9 +244,9 @@ class TestWeakeningChain:
         model, profile = forced_disable
         frame = default_frame(model, profile)
         assert check_inf_obs_extended(frame, model, profile).holds
-        assert not check_inf_obs_corrected(frame, model, profile).holds
-        assert not check_coobservability(frame, model, profile, "cp").holds
-        assert not check_coobservability(frame, model, profile, "da").holds
+        assert not check(frame, model, profile, "corrected").holds
+        assert not check(frame, model, profile, "cp").holds
+        assert not check(frame, model, profile, "da").holds
 
     def test_strictness_witnesses(self, conditional_bets, conditional_bets_frame,
                                   legacy_gap, legacy_gap_frame,
@@ -253,35 +254,52 @@ class TestWeakeningChain:
         model, profile = conditional_bets
         assert check_inf_obs_extended(conditional_bets_frame, model,
                                       profile).holds
-        assert not check_coobservability(conditional_bets_frame, model,
-                                         profile, "cp").holds
+        assert not check(conditional_bets_frame, model,
+                         profile, "cp").holds
         model, profile = conditional_bets_mirror
         assert check_inf_obs_extended(mirror_frame, model, profile).holds
-        assert not check_coobservability(mirror_frame, model, profile,
-                                         "da").holds
+        assert not check(mirror_frame, model, profile,
+                         "da").holds
         model, profile = legacy_gap
         assert check_inf_obs_extended(legacy_gap_frame, model, profile).holds
-        assert not check_inf_obs_legacy(legacy_gap_frame, model, profile,
-                                        world_domain="all",
-                                        relation="total").holds
+        assert not check(legacy_gap_frame, model, profile, "legacy",
+                         worlds="all",
+                         relation="total").holds
 
 
 class TestVerdictShape:
     def test_counterexample_and_defaults_presence(self, n2_instances):
-        from infobs import check_inf_obs_legacy as legacy
         for model, profile, frame in n2_instances[:40]:
             verdicts = [
                 check_controllability(model, profile, frame),
                 check_inf_obs_extended(frame, model, profile),
-                check_inf_obs_corrected(frame, model, profile),
-                check_coobservability(frame, model, profile, "cp"),
-                legacy(frame, model, profile),
+                check(frame, model, profile, "corrected"),
+                check(frame, model, profile, "cp"),
+                check(frame, model, profile, "legacy"),
             ]
             for verdict in verdicts:
                 assert (verdict.counterexample is None) == verdict.holds
                 assert (verdict.defaults is not None) == verdict.holds
                 if verdict.holds:
                     assert set(verdict.defaults) == set(profile.sigma_c)
+
+
+class TestConditionTable:
+    def test_unknown_ids_and_domains_are_refused(self, legacy_gap,
+                                                 legacy_gap_frame):
+        model, profile = legacy_gap
+        for which, kwargs in [("nonsense", {}),
+                              ("corrected", {"relation": "total"}),
+                              ("strong_cp", {"relation": "partial"}),
+                              ("extended", {"worlds": "all"}),
+                              ("legacy", {"events": "nonsense"})]:
+            with pytest.raises(ModelError):
+                check(legacy_gap_frame, model, profile, which, **kwargs)
+
+    def test_extended_row_is_the_extended_checker(self, diamond, diamond_frame):
+        model, profile = diamond
+        assert (check(diamond_frame, model, profile, "extended")
+                == check_inf_obs_extended(diamond_frame, model, profile))
 
 
 class TestDeterminism:

@@ -3,9 +3,8 @@
 import pytest
 
 from infobs import (ABSTAIN, DISABLE, ENABLE, ON, PlantSpec,
-                    SupervisionProfile, check_controllability,
-                    check_coobservability, check_inf_obs_corrected,
-                    check_inf_obs_extended, check_inf_obs_legacy, closed_loop,
+                    SupervisionProfile, check, check_controllability,
+                    check_inf_obs_extended, closed_loop,
                     dfa_equivalent, exhaustive_supervisor_search,
                     oracle_condition, oracle_solves, project, synthesize)
 from infobs.errors import EnumerationBound, InstanceTooLarge
@@ -71,6 +70,8 @@ class TestOracleSolves:
         result = synthesize(model, profile)
         with pytest.raises(EnumerationBound):
             oracle_solves(model, profile, result, 11)
+        with pytest.raises(EnumerationBound):
+            exhaustive_supervisor_search(model, profile, 11)
 
 
 class TestOracleCondition:
@@ -90,23 +91,23 @@ class TestOracleCondition:
         for model, profile, frame in [*n2_instances, *n3_instances]:
             checks = {
                 "extended": check_inf_obs_extended(frame, model, profile).holds,
-                "corrected": check_inf_obs_corrected(frame, model, profile).holds,
-                "split": check_inf_obs_corrected(frame, model, profile,
-                                                 "split").holds,
-                "cp": check_coobservability(frame, model, profile, "cp").holds,
-                "da": check_coobservability(frame, model, profile, "da").holds,
-                "strong_cp": check_coobservability(frame, model, profile,
-                                                   "strong_cp").holds,
-                "strong_da": check_coobservability(frame, model, profile,
-                                                   "strong_da").holds,
+                "corrected": check(frame, model, profile, "corrected").holds,
+                "split": check(frame, model, profile,
+                               "split").holds,
+                "cp": check(frame, model, profile, "cp").holds,
+                "da": check(frame, model, profile, "da").holds,
+                "strong_cp": check(frame, model, profile,
+                                   "strong_cp").holds,
+                "strong_da": check(frame, model, profile,
+                                   "strong_da").holds,
                 "controllability": check_controllability(model, profile,
                                                          frame).holds,
             }
             for which, expected in checks.items():
                 if oracle_condition(model, profile, which) != expected:
                     mismatches += 1
-            legacy = check_inf_obs_legacy(frame, model, profile,
-                                          world_domain="all", relation="total")
+            legacy = check(frame, model, profile, "legacy",
+                           worlds="all", relation="total")
             if oracle_condition(model, profile, "legacy", relation="total",
                                 world_domain="all") != legacy.holds:
                 mismatches += 1
