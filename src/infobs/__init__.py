@@ -14,8 +14,8 @@ from .automata import (Automaton, EquivalenceVerdict, PlantSpec,
                        reachable, validate_model, validate_profile)
 from .conditions import (CONDITIONS, Condition, Counterexample, Verdict,
                          can_disable, can_enable, check, check_controllability,
-                         check_inf_obs_extended, default_frame, must_disable,
-                         must_enable)
+                         check_inf_obs_extended, default_frame,
+                         knowledge_lines, must_disable, must_enable)
 from .errors import (AlphabetMismatch, ControlConflict, EnumerationBound,
                      FormatError, InfobsError, InstanceTooLarge, ModelError,
                      NotControllable, NotInferenceObservable, PolicyAmbiguity,
@@ -24,9 +24,8 @@ from .explain import Explanation, explain
 from .fusion import (ABSTAIN, DISABLE, ENABLE, OFF, ON, WOFF, WON,
                      ControlDecision, FusedDecision, fuse, fuse_legacy_pair)
 from .kripke import (And, Const, Formula, Implies, Know, KripkeFrame, Not, Or,
-                     OtherKnows, Prop, SomeoneKnows, Var, build_frame,
-                     eval_formula, expand_derived, guard_transform, legal,
-                     possible, STATE_LEGAL)
+                     Prop, Var, any_knows, build_frame, expand_derived,
+                     guard_transform, legal, possible, STATE_LEGAL)
 from .modelfile import (load_model, load_supervisors, parse_model,
                         save_supervisors, serialize_model)
 from .observation import (Composite, Observer, World, build_composite,

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Iterable, Mapping
+from typing import Any, Iterable, Iterator, Mapping
 
 from .errors import AlphabetMismatch, EnumerationBound, ModelError
 
@@ -56,9 +56,6 @@ class PlantSpec:
     def legal(self, state: str, event: str) -> bool:
         """True when the event is allowed by the specification at the state."""
         return (state, event) in self.legal_transitions
-
-    def state_legal(self, state: str) -> bool:
-        return state in self.legal_states
 
 
 @dataclass(frozen=True)
@@ -158,30 +155,38 @@ def reachable(model: PlantSpec, legal_only: bool = False) -> frozenset[str]:
     return frozenset(seen)
 
 
-def language_upto(model: PlantSpec, k: int, legal_only: bool = False,
-                  max_len: int = MAX_WORD_LENGTH) -> set[Word]:
+def walk_words(model: PlantSpec, k: int,
+               legal_only: bool = False) -> Iterator[tuple[Word, str]]:
+    """Every word of length at most ``k`` the plant (or its legal part)
+    generates, with the state it reaches: shortest first, and in event order
+    within a length.
+    """
+    events = sorted(model.events)
+    frontier: list[tuple[Word, str]] = [((), model.initial)]
+    yield frontier[0]
+    for _ in range(k):
+        nxt: list[tuple[Word, str]] = []
+        for word, state in frontier:
+            for ev in events:
+                if legal_only and (state, ev) not in model.legal_transitions:
+                    continue
+                dst = model.delta.get((state, ev))
+                if dst is not None:
+                    nxt.append((word + (ev,), dst))
+        yield from nxt
+        frontier = nxt
+
+
+def language_upto(model: PlantSpec, k: int, legal_only: bool = False) -> set[Word]:
     """All words of length at most ``k`` generated by the plant (or its legal
     part).  The result is prefix closed.
     """
     if k < 0:
         raise ValueError("word length bound must be nonnegative")
-    if k > max_len:
-        raise EnumerationBound(f"k={k} exceeds the enumeration ceiling {max_len}")
-    words: set[Word] = {()}
-    frontier: list[tuple[str, Word]] = [(model.initial, ())]
-    for _ in range(k):
-        nxt: list[tuple[str, Word]] = []
-        for state, word in frontier:
-            for ev in sorted(model.events):
-                if legal_only and not model.legal(state, ev):
-                    continue
-                if not model.possible(state, ev):
-                    continue
-                extended = word + (ev,)
-                words.add(extended)
-                nxt.append((model.delta[(state, ev)], extended))
-        frontier = nxt
-    return words
+    if k > MAX_WORD_LENGTH:
+        raise EnumerationBound(
+            f"k={k} exceeds the enumeration ceiling {MAX_WORD_LENGTH}")
+    return {word for word, _state in walk_words(model, k, legal_only)}
 
 
 @dataclass(frozen=True)

@@ -176,6 +176,11 @@ def _run_export_dot(args) -> int:
 
 
 def _run_oracle(args) -> int:
+    for flag, value, modes in (("--condition", args.condition, ("condition",)),
+                               ("--supervisors", args.supervisors, ("solve",)),
+                               ("--depth", args.depth, ("solve", "search"))):
+        if value is not None and args.mode not in modes:
+            raise UsageError(f"{flag} does not apply to --mode {args.mode}")
     _check_depth(args.depth)
     model, profile = load_model(args.file)
     if args.mode == "condition":

@@ -26,9 +26,8 @@ from typing import Callable, Literal, Mapping
 from .automata import PlantSpec, SupervisionProfile, Word
 from .errors import ModelError
 from .fusion import DISABLE, ENABLE, FusedDecision
-from .kripke import (Formula, Implies, Know, KripkeFrame, Not, Or, OtherKnows,
-                     Relation, SomeoneKnows, Var, build_frame, legal, or_all,
-                     possible)
+from .kripke import (Formula, Implies, Know, KripkeFrame, Not, Or, Relation,
+                     Var, any_knows, build_frame, legal, or_all, possible)
 from .observation import World, build_composite
 
 
@@ -106,16 +105,28 @@ def _counterexample(frame: KripkeFrame, event: str, bad: int) -> Counterexample:
 # Extended inference-observability (arbitrarily many supervisors,
 # five-valued decisions, per-event default)
 
-def _extended_lines(profile: SupervisionProfile, event: str) -> list[Formula]:
+def knowledge_lines(profile: SupervisionProfile, event: str, i: int
+                    ) -> tuple[Formula, Formula, Formula, Formula]:
+    """Supervisor i's four knowledge lines for ``event``, in policy order.
+
+    i knows enabling is safe; i knows disabling is safe; i knows that if the
+    event must be enabled another controller knows enabling is safe; and the
+    mirror image for disabling.  With no other controller the last two
+    reduce to knowing the event need not be enabled (or disabled).
+    """
     e, d = can_enable(event), can_disable(event)
-    ebar, dbar = must_enable(event), must_disable(event)
-    controllers = profile.controllers(event)
-    return [
-        SomeoneKnows(e),
-        SomeoneKnows(d),
-        or_all(Know(i, Implies(ebar, OtherKnows(i, e))) for i in controllers),
-        or_all(Know(i, Implies(dbar, OtherKnows(i, d))) for i in controllers),
-    ]
+    others = [j for j in profile.controllers(event) if j != i]
+    return (Know(i, e),
+            Know(i, d),
+            Know(i, Implies(must_enable(event), any_knows(others, e))),
+            Know(i, Implies(must_disable(event), any_knows(others, d))))
+
+
+def _extended_lines(profile: SupervisionProfile, event: str) -> list[Formula]:
+    """Each knowledge line, held by some controller of the event."""
+    per_controller = [knowledge_lines(profile, event, i)
+                      for i in profile.controllers(event)]
+    return [or_all(lines) for lines in zip(*per_controller)]
 
 
 def check_inf_obs_extended(frame: KripkeFrame, model: PlantSpec,
@@ -137,12 +148,12 @@ def check_inf_obs_extended(frame: KripkeFrame, model: PlantSpec,
     for ev in sorted(profile.sigma_c):
         covered = 0
         for line in _extended_lines(profile, ev):
-            covered |= frame.truth_set(line, "partial", ev)
+            covered |= frame.truth_set(line)
         uncovered = frame.legal_bits & ~covered
         # Outside ``d`` the requirement needs the event enabled, outside
         # ``e`` it needs it disabled.
-        needs_enable = uncovered & ~frame.truth_set(can_disable(ev), "partial", ev)
-        needs_disable = uncovered & ~frame.truth_set(can_enable(ev), "partial", ev)
+        needs_enable = uncovered & ~frame.truth_set(can_disable(ev))
+        needs_disable = uncovered & ~frame.truth_set(can_enable(ev))
         if needs_enable and needs_disable:
             w, v = frame.first(needs_enable), frame.first(needs_disable)
             ce = Counterexample(ev, w, frame.witness(w), v, frame.witness(v))
@@ -196,12 +207,14 @@ def _split_formula(profile: SupervisionProfile, event: str) -> Formula:
 
 def _veto(profile: SupervisionProfile, event: str) -> Formula:
     """Wherever the event must stay disabled, someone knows it can be."""
-    return Or(SomeoneKnows(can_disable(event)), can_enable(event))
+    return Or(any_knows(profile.controllers(event), can_disable(event)),
+              can_enable(event))
 
 
 def _approve(profile: SupervisionProfile, event: str) -> Formula:
     """Wherever the event must stay enabled, someone knows it can be."""
-    return Or(SomeoneKnows(can_enable(event)), can_disable(event))
+    return Or(any_knows(profile.controllers(event), can_enable(event)),
+              can_disable(event))
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +302,7 @@ def check(frame: KripkeFrame, model: PlantSpec, profile: SupervisionProfile,
         raise ModelError(f"unknown event domain {events!r}")
     domain = frame.legal_bits if worlds == "legal" else frame.all_bits
     for ev in sorted(pool):
-        bad = domain & ~frame.truth_set(row.requirement(profile, ev), relation, ev)
+        bad = domain & ~frame.truth_set(row.requirement(profile, ev), relation)
         if bad:
             return Verdict(row.verdict, False,
                            counterexample=_counterexample(frame, ev, bad))

@@ -111,24 +111,6 @@ class Know(Formula):
     sub: Formula
 
 
-@dataclass(frozen=True)
-class SomeoneKnows(Formula):
-    """Disjunction of ``Know(i, sub)`` over the controllers of the context event."""
-
-    sub: Formula
-
-
-@dataclass(frozen=True)
-class OtherKnows(Formula):
-    """Like :class:`SomeoneKnows` but excluding supervisor ``agent``.
-
-    With a single controller this is the empty disjunction, i.e. false.
-    """
-
-    agent: int
-    sub: Formula
-
-
 TRUE = Const(True)
 FALSE = Const(False)
 
@@ -141,6 +123,11 @@ def or_all(parts) -> Formula:
     for p in parts[1:]:
         out = Or(out, p)
     return out
+
+
+def any_knows(agents, sub: Formula) -> Formula:
+    """Some supervisor in ``agents`` knows ``sub``; false when there is none."""
+    return or_all(Know(i, sub) for i in agents)
 
 
 def expand_derived(phi: Formula) -> Formula:
@@ -157,10 +144,6 @@ def expand_derived(phi: Formula) -> Formula:
         return expand_derived(Or(Not(phi.left), phi.right))
     if isinstance(phi, Know):
         return Know(phi.agent, expand_derived(phi.sub))
-    if isinstance(phi, SomeoneKnows):
-        return SomeoneKnows(expand_derived(phi.sub))
-    if isinstance(phi, OtherKnows):
-        return OtherKnows(phi.agent, expand_derived(phi.sub))
     raise TypeError(f"not a formula: {phi!r}")
 
 
@@ -173,7 +156,7 @@ def uses_state_legal(phi: Formula) -> bool:
         return uses_state_legal(phi.sub)
     if isinstance(phi, (And, Or, Implies)):
         return uses_state_legal(phi.left) or uses_state_legal(phi.right)
-    if isinstance(phi, (Know, SomeoneKnows, OtherKnows)):
+    if isinstance(phi, Know):
         return uses_state_legal(phi.sub)
     raise TypeError(f"not a formula: {phi!r}")
 
@@ -205,10 +188,6 @@ def _guard(phi: Formula) -> Formula:
         return Implies(_guard(phi.left), _guard(phi.right))
     if isinstance(phi, Know):
         return Know(phi.agent, Implies(Var(STATE_LEGAL), _guard(phi.sub)))
-    if isinstance(phi, SomeoneKnows):
-        return SomeoneKnows(Implies(Var(STATE_LEGAL), _guard(phi.sub)))
-    if isinstance(phi, OtherKnows):
-        return OtherKnows(phi.agent, Implies(Var(STATE_LEGAL), _guard(phi.sub)))
     raise TypeError(f"not a formula: {phi!r}")
 
 
@@ -239,9 +218,8 @@ class KripkeFrame:
     connectives are bitwise operations on the sets of their parts, and
     ``Know(i, f)`` is one pass over supervisor i's accessibility classes that
     keeps every class lying inside the truth set of ``f``.  Truth sets are
-    memoized per (relation, context event, formula), never per world; the
-    cache is write-once per key, so sharing the frame between readers is
-    safe.
+    memoized per (relation, formula), never per world; the cache is
+    write-once per key, so sharing the frame between readers is safe.
     """
 
     def __init__(self, composite: Composite, model: PlantSpec,
@@ -266,16 +244,12 @@ class KripkeFrame:
         self._partial = [{k: tuple(v) for k, v in per.items()} for per in partial]
         self._classes: dict[tuple[int, Relation], list[tuple[int, int]]] = {}
         self._props: dict[Prop, int] = {}
-        self._truth: dict[tuple[Relation, str | None, Formula], int] = {}
+        self._truth: dict[tuple[Relation, Formula], int] = {}
 
     # -- structure ---------------------------------------------------------
 
     def world_legal(self, w: World) -> bool:
         return self._legal[w]
-
-    @property
-    def legal_worlds(self) -> tuple[World, ...]:
-        return tuple(w for w in self.worlds if self._legal[w])
 
     def class_of(self, w: World, i: int, relation: Relation = "partial") -> tuple[World, ...]:
         """The accessibility class of ``w`` for supervisor ``i``.
@@ -319,62 +293,41 @@ class KripkeFrame:
 
     # -- evaluation --------------------------------------------------------
 
-    def truth_set(self, phi: Formula, relation: Relation = "partial",
-                  event: str | None = None) -> int:
-        """The bitset of the worlds where ``phi`` holds.
-
-        ``event`` supplies the controller set for the macro operators
-        :class:`SomeoneKnows` and :class:`OtherKnows`; formulas without
-        macros do not need it.
-        """
-        key = (relation, event, phi)
+    def truth_set(self, phi: Formula, relation: Relation = "partial") -> int:
+        """The bitset of the worlds where ``phi`` holds."""
+        key = (relation, phi)
         found = self._truth.get(key)
         if found is None:
-            found = self._label(phi, relation, event)
+            found = self._label(phi, relation)
             self._truth[key] = found
         return found
 
-    def eval(self, w: World, phi: Formula, relation: Relation = "partial",
-             event: str | None = None) -> bool:
+    def eval(self, w: World, phi: Formula, relation: Relation = "partial") -> bool:
         """Whether ``phi`` holds at ``w``: one bit of :meth:`truth_set`."""
-        return bool(self.truth_set(phi, relation, event) >> self._index[w] & 1)
+        return bool(self.truth_set(phi, relation) >> self._index[w] & 1)
 
-    def _label(self, phi: Formula, relation: Relation, event: str | None) -> int:
+    def _label(self, phi: Formula, relation: Relation) -> int:
         if isinstance(phi, Const):
             return self.all_bits if phi.value else 0
         if isinstance(phi, Var):
             return self._prop_set(phi.prop)
         if isinstance(phi, Not):
-            return self.all_bits & ~self.truth_set(phi.sub, relation, event)
+            return self.all_bits & ~self.truth_set(phi.sub, relation)
         if isinstance(phi, And):
-            return (self.truth_set(phi.left, relation, event)
-                    & self.truth_set(phi.right, relation, event))
+            return self.truth_set(phi.left, relation) & self.truth_set(phi.right, relation)
         if isinstance(phi, Or):
-            return (self.truth_set(phi.left, relation, event)
-                    | self.truth_set(phi.right, relation, event))
+            return self.truth_set(phi.left, relation) | self.truth_set(phi.right, relation)
         if isinstance(phi, Implies):
-            return ((self.all_bits & ~self.truth_set(phi.left, relation, event))
-                    | self.truth_set(phi.right, relation, event))
+            return ((self.all_bits & ~self.truth_set(phi.left, relation))
+                    | self.truth_set(phi.right, relation))
         if isinstance(phi, Know):
-            sub = self.truth_set(phi.sub, relation, event)
+            sub = self.truth_set(phi.sub, relation)
             out = 0
             for holders, members in self._classes_of(phi.agent, relation):
                 if members & sub == members:
                     out |= holders
             return out
-        if isinstance(phi, SomeoneKnows):
-            return self._any_knows(phi.sub, self._controllers(event), relation, event)
-        if isinstance(phi, OtherKnows):
-            others = [j for j in self._controllers(event) if j != phi.agent]
-            return self._any_knows(phi.sub, others, relation, event)
         raise TypeError(f"not a formula: {phi!r}")
-
-    def _any_knows(self, sub: Formula, agents, relation: Relation,
-                   event: str | None) -> int:
-        out = 0
-        for i in agents:
-            out |= self.truth_set(Know(i, sub), relation, event)
-        return out
 
     def _classes_of(self, i: int, relation: Relation) -> list[tuple[int, int]]:
         """Supervisor i's classes as (holders, members) bitset pairs.
@@ -398,18 +351,8 @@ class KripkeFrame:
             self._classes[key] = found
         return found
 
-    def _controllers(self, event: str | None) -> tuple[int, ...]:
-        if event is None:
-            raise ModelError("macro operators need a context event")
-        return self.profile.controllers(event)
-
 
 def build_frame(composite: Composite, model: PlantSpec,
                 profile: SupervisionProfile) -> KripkeFrame:
     return KripkeFrame(composite, model, profile)
 
-
-def eval_formula(frame: KripkeFrame, w: World, phi: Formula,
-                 relation: Relation = "partial", event: str | None = None) -> bool:
-    """Module-level alias for :meth:`KripkeFrame.eval`."""
-    return frame.eval(w, phi, relation, event)

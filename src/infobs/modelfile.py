@@ -61,7 +61,8 @@ def parse_model(text: str) -> tuple[PlantSpec, SupervisionProfile]:
         if keyword == "supervisors":
             if n is not None:
                 raise FormatError("duplicate supervisors directive", lineno)
-            if len(args) != 1 or not args[0].isdigit() or int(args[0]) < 1:
+            # isdecimal, unlike isdigit, admits only digits int() reads.
+            if len(args) != 1 or not args[0].isdecimal() or int(args[0]) < 1:
                 raise FormatError("supervisors needs one positive count", lineno)
             n = int(args[0])
         elif keyword == "event":

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .automata import PlantSpec, SupervisionProfile, Word
+from .automata import PlantSpec, SupervisionProfile, Word, walk_words
 from .errors import (ControlConflict, EnumerationBound, InstanceTooLarge,
                      UndefinedFusion)
 from .fusion import (ABSTAIN, DISABLE, ENABLE, ControlDecision, FusedDecision,
@@ -60,17 +60,7 @@ def _legal_words(model: PlantSpec, k: int) -> list[tuple[Word, str]]:
     """Legal words up to length k with their plant states, shortest first."""
     if k > MAX_ORACLE_DEPTH:
         raise EnumerationBound(f"depth {k} exceeds the oracle ceiling {MAX_ORACLE_DEPTH}")
-    out = [((), model.initial)]
-    frontier = [((), model.initial)]
-    for _ in range(k):
-        nxt = []
-        for word, state in frontier:
-            for ev in sorted(model.events):
-                if (state, ev) in model.legal_transitions:
-                    nxt.append((word + (ev,), model.delta[(state, ev)]))
-        out.extend(nxt)
-        frontier = nxt
-    return out
+    return list(walk_words(model, k, legal_only=True))
 
 
 def oracle_solves(model: PlantSpec, profile: SupervisionProfile,

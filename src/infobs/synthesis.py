@@ -19,14 +19,13 @@ from typing import Mapping
 
 from .automata import (Automaton, EquivalenceVerdict, PlantSpec,
                        SupervisionProfile, dfa_equivalent, legal_automaton)
-from .conditions import (can_disable, can_enable, check_controllability,
-                         check_inf_obs_extended, default_frame, must_disable,
-                         must_enable)
+from .conditions import (check_controllability, check_inf_obs_extended,
+                         default_frame, knowledge_lines)
 from .errors import (ModelError, NotControllable, NotInferenceObservable,
                      PolicyAmbiguity)
 from .fusion import ABSTAIN, ENABLE, OFF, ON, WOFF, WON, ControlDecision, \
     FusedDecision, fuse
-from .kripke import Implies, Know, KripkeFrame, OtherKnows
+from .kripke import KripkeFrame
 from .observation import Estimate, Observer, World, compose, project
 
 
@@ -82,14 +81,8 @@ class SynthesisResult:
 
 def policy_truths(frame: KripkeFrame, w: World, event: str, i: int) -> tuple[bool, bool, bool, bool]:
     """The four knowledge values the policy reads, in table order."""
-    e, d = can_enable(event), can_disable(event)
-    ke = frame.eval(w, Know(i, e), "partial", event)
-    kd = frame.eval(w, Know(i, d), "partial", event)
-    kce = frame.eval(w, Know(i, Implies(must_enable(event), OtherKnows(i, e))),
-                     "partial", event)
-    kcd = frame.eval(w, Know(i, Implies(must_disable(event), OtherKnows(i, d))),
-                     "partial", event)
-    return ke, kd, kce, kcd
+    return tuple(frame.eval(w, line)
+                 for line in knowledge_lines(frame.profile, event, i))
 
 
 def kp_case(frame: KripkeFrame, w: World, event: str, i: int) -> tuple[ControlDecision, PolicyCase]:

@@ -8,8 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from infobs import (And, Const, Implies, Know, Not, Or, OtherKnows, PlantSpec,
-                    SomeoneKnows, SupervisionProfile, Var, default_frame,
+from infobs import (And, Const, Implies, Know, Not, Or, PlantSpec,
+                    SupervisionProfile, Var, any_knows, default_frame,
                     language_upto, legal, load_model, possible, synthesize)
 from infobs.errors import SynthesisError
 from infobs.randgen import instance_stream, random_instance
@@ -200,34 +200,38 @@ def automaton_language(automaton, k: int) -> set:
 
 
 def random_formula(rng: random.Random, events, n_agents: int, depth: int,
-                   macros: bool = False):
+                   controllers=None):
     """Random formula over the model's propositions.
 
-    With ``macros`` the formula may also use the controller macros
-    :class:`SomeoneKnows` and :class:`OtherKnows`, which need a context
-    event when evaluated.
+    Given ``controllers``, the formula may also say that some of them, or
+    some of them other than one supervisor, knows a subformula: the
+    disjunctions :func:`any_knows` builds.
     """
     if depth == 0 or rng.random() < 0.25:
         ev = rng.choice(events)
         return Var(possible(ev)) if rng.random() < 0.5 else Var(legal(ev))
     kinds = ("not", "and", "or", "implies", "know", "know")
-    if macros:
+    if controllers is not None:
         kinds += ("someone", "other")
+
+    def sub():
+        return random_formula(rng, events, n_agents, depth - 1, controllers)
+
     kind = rng.choice(kinds)
     if kind == "not":
-        return Not(random_formula(rng, events, n_agents, depth - 1, macros))
+        return Not(sub())
     if kind == "someone":
-        return SomeoneKnows(random_formula(rng, events, n_agents, depth - 1, macros))
-    if kind in ("know", "other"):
-        op = Know if kind == "know" else OtherKnows
-        return op(rng.randrange(n_agents),
-                  random_formula(rng, events, n_agents, depth - 1, macros))
-    left = random_formula(rng, events, n_agents, depth - 1, macros)
-    right = random_formula(rng, events, n_agents, depth - 1, macros)
+        return any_knows(controllers, sub())
+    if kind == "other":
+        skip = rng.randrange(n_agents)
+        return any_knows([j for j in controllers if j != skip], sub())
+    if kind == "know":
+        return Know(rng.randrange(n_agents), sub())
+    left, right = sub(), sub()
     return {"and": And, "or": Or, "implies": Implies}[kind](left, right)
 
 
-def reference_eval(frame, w, phi, relation="partial", event=None) -> bool:
+def reference_eval(frame, w, phi, relation="partial") -> bool:
     """The inductive semantics, world by world over ``class_of``.
 
     Deliberately naive (no memo, no bitsets) so it shares nothing with
@@ -238,16 +242,14 @@ def reference_eval(frame, w, phi, relation="partial", event=None) -> bool:
     if isinstance(phi, Var):
         return frame.pi(w, phi.prop)
     if isinstance(phi, Not):
-        return not reference_eval(frame, w, phi.sub, relation, event)
+        return not reference_eval(frame, w, phi.sub, relation)
     if isinstance(phi, (And, Or, Implies)):
-        left = reference_eval(frame, w, phi.left, relation, event)
-        right = reference_eval(frame, w, phi.right, relation, event)
+        left = reference_eval(frame, w, phi.left, relation)
+        right = reference_eval(frame, w, phi.right, relation)
         if isinstance(phi, And):
             return left and right
         return (left or right) if isinstance(phi, Or) else (not left or right)
     if isinstance(phi, Know):
-        return all(reference_eval(frame, v, phi.sub, relation, event)
+        return all(reference_eval(frame, v, phi.sub, relation)
                    for v in frame.class_of(w, phi.agent, relation))
-    skip = phi.agent if isinstance(phi, OtherKnows) else None
-    return any(reference_eval(frame, w, Know(i, phi.sub), relation, event)
-               for i in frame.profile.controllers(event) if i != skip)
+    raise TypeError(f"not a formula: {phi!r}")

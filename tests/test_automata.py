@@ -5,10 +5,11 @@ import pytest
 from infobs import (Automaton, PlantSpec, dfa_equivalent, language_upto,
                     legal_automaton, plant_automaton, reachable,
                     validate_model)
+from infobs.automata import walk_words
 from infobs.errors import AlphabetMismatch, EnumerationBound, ModelError
 from infobs.randgen import instance_stream
 
-from conftest import automaton_language
+from conftest import automaton_language, run_word
 
 
 def chain(states, moves, legal_states=None, legal_moves=None, events=None):
@@ -66,6 +67,16 @@ class TestLanguageUpto:
                 words = language_upto(model, k)
                 assert all(w[:-1] in words for w in words if w)
                 assert language_upto(model, k, legal_only=True) <= words
+
+    def test_walk_is_shortest_first_in_event_order(self):
+        for model, _profile in instance_stream(13, 30):
+            for legal_only in (False, True):
+                walked = list(walk_words(model, 4, legal_only))
+                words = [word for word, _state in walked]
+                assert words == sorted(set(words), key=lambda w: (len(w), w))
+                assert set(words) == language_upto(model, 4, legal_only)
+                for word, state in walked:
+                    assert state == run_word(model, word)
 
 
 class TestDfaEquivalent:

@@ -243,6 +243,31 @@ class TestInputHardening:
         code, out, err = run(capsys, "oracle", str(chain), "--mode", "search")
         assert code == 2 and not out and "ceiling" in err
 
+    @pytest.mark.parametrize("mode", ["solve", "search"])
+    def test_condition_flag_outside_condition_mode_is_refused(self, capsys,
+                                                             mode):
+        code, out, err = run(capsys, "oracle", GAP, "--mode", mode,
+                             "--condition", "cp")
+        assert code == 2 and not out and "--condition" in err
+
+    @pytest.mark.parametrize("mode", ["condition", "search"])
+    def test_supervisors_flag_outside_solve_mode_is_refused(self, capsys,
+                                                           sup_dir, mode):
+        code, out, err = run(capsys, "oracle", GAP, "--mode", mode,
+                             "--supervisors", str(sup_dir))
+        assert code == 2 and not out and "--supervisors" in err
+
+    def test_depth_flag_in_condition_mode_is_refused(self, capsys):
+        code, out, err = run(capsys, "oracle", GAP, "--mode", "condition",
+                             "--depth", "3")
+        assert code == 2 and not out and "--depth" in err
+
+    def test_non_ascii_digit_supervisor_count_exits_two(self, capsys, tmp_path):
+        bad = tmp_path / "count.des"
+        bad.write_text("supervisors \u00b2\n", encoding="utf-8")
+        code, out, err = run(capsys, "check", str(bad))
+        assert code == 2 and not out and "line 1" in err
+
     def test_oracle_seed_is_not_a_flag(self, capsys):
         code, out, _ = run(capsys, "oracle", GAP, "--mode", "search",
                            "--seed", "3")

@@ -4,9 +4,10 @@ import random
 
 import pytest
 
-from infobs import (Implies, Know, Not, Or, STATE_LEGAL, SomeoneKnows,
-                    OtherKnows, Var, build_frame, default_frame, eval_formula,
-                    expand_derived, guard_transform, legal, possible)
+from infobs import (Implies, Know, Not, Or, STATE_LEGAL, Var, any_knows,
+                    build_frame, default_frame, expand_derived,
+                    guard_transform, legal, possible)
+from infobs.kripke import FALSE
 from infobs.errors import ModelError
 from infobs.observation import build_composite
 from infobs.randgen import instance_stream
@@ -100,21 +101,19 @@ class TestEval:
     def test_macros_expand_over_the_controllers(self, conditional_bets_frame):
         frame = conditional_bets_frame
         phi = Var(legal("g"))
+        controllers = frame.profile.controllers("g")
+        assert any_knows((), phi) == FALSE
         for w in frame.worlds:
-            someone = frame.eval(w, SomeoneKnows(phi), "partial", "g")
+            someone = frame.eval(w, any_knows(controllers, phi), "partial")
             by_hand = any(frame.eval(w, Know(i, phi), "partial")
-                          for i in frame.profile.controllers("g"))
+                          for i in controllers)
             assert someone == by_hand
-            for i in frame.profile.controllers("g"):
-                other = frame.eval(w, OtherKnows(i, phi), "partial", "g")
+            for i in controllers:
+                others = [j for j in controllers if j != i]
+                other = frame.eval(w, any_knows(others, phi), "partial")
                 rest = any(frame.eval(w, Know(j, phi), "partial")
-                           for j in frame.profile.controllers("g") if j != i)
+                           for j in others)
                 assert other == rest
-
-    def test_macro_without_context_event_is_an_error(self, conditional_bets_frame):
-        with pytest.raises(ModelError):
-            conditional_bets_frame.eval(conditional_bets_frame.worlds[0],
-                                        SomeoneKnows(Var(legal("g"))), "partial")
 
     def test_memoization_never_changes_results(self, legacy_gap, legacy_gap_frame):
         # A warmed-up frame and a fresh one must agree on every query,
@@ -140,15 +139,16 @@ class TestTruthSets:
         for model, profile, frame in request.getfixturevalue(instances):
             events = sorted(model.events)
             for _ in range(4):
-                phi = random_formula(rng, events, profile.n, 3, macros=True)
                 event = rng.choice(events)
+                phi = random_formula(rng, events, profile.n, 3,
+                                     controllers=profile.controllers(event))
                 for relation in ("partial", "total"):
                     expected = sum(
                         1 << k for k, w in enumerate(frame.worlds)
-                        if reference_eval(frame, w, phi, relation, event))
-                    assert frame.truth_set(phi, relation, event) == expected
+                        if reference_eval(frame, w, phi, relation))
+                    assert frame.truth_set(phi, relation) == expected
                     for k, w in enumerate(frame.worlds):
-                        assert (frame.eval(w, phi, relation, event)
+                        assert (frame.eval(w, phi, relation)
                                 == bool(expected >> k & 1))
 
     def test_fixture_condition_lines_agree(self, conditional_bets_frame,
@@ -157,10 +157,10 @@ class TestTruthSets:
         for frame in (conditional_bets_frame, diamond_frame):
             for ev in sorted(frame.profile.sigma_c):
                 for line in _extended_lines(frame.profile, ev):
-                    bits = frame.truth_set(line, "partial", ev)
+                    bits = frame.truth_set(line, "partial")
                     for k, w in enumerate(frame.worlds):
                         assert (bool(bits >> k & 1)
-                                == reference_eval(frame, w, line, "partial", ev))
+                                == reference_eval(frame, w, line, "partial"))
 
     def test_first_is_the_lowest_world_in_breadth_first_order(self, legacy_gap_frame):
         frame = legacy_gap_frame
@@ -217,9 +217,3 @@ class TestGuardTransform:
                 for w in frame.worlds:
                     if frame.eval(w, phi, "total"):
                         assert frame.eval(w, phi, "partial")
-
-    def test_module_level_eval_alias(self, legacy_gap_frame):
-        w = legacy_gap_frame.worlds[0]
-        phi = Var(possible("a"))
-        assert (eval_formula(legacy_gap_frame, w, phi)
-                == legacy_gap_frame.eval(w, phi))

@@ -53,6 +53,13 @@ class TestParse:
         assert fragment in str(err.value)
         assert err.value.line == bad_line
 
+    @pytest.mark.parametrize("count", ["\u00b2", "0", "-1", "two", "1 2"])
+    def test_supervisor_count_must_be_a_positive_number(self, count):
+        # A superscript two passes str.isdigit but not int().
+        with pytest.raises(FormatError, match="positive count") as err:
+            parse_model(GOOD.replace("supervisors 2", f"supervisors {count}"))
+        assert err.value.line == 2
+
     def test_exactly_one_init(self):
         with pytest.raises(FormatError, match="exactly one init"):
             parse_model("supervisors 1\nevent a\nstate q0 legal\n")

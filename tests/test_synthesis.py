@@ -199,7 +199,7 @@ class TestCouplingInvariants:
                         continue
                     if (w.plant, ev) not in model.delta:
                         continue
-                    if not any(frame.eval(w, line, "partial", ev) for line in lines):
+                    if not any(frame.eval(w, line, "partial") for line in lines):
                         continue
                     bag = [result.supervisors[i].decide(w.estimates[i], ev)
                            for i in profile.controllers(ev)]
