@@ -52,30 +52,6 @@ class Explanation:
         out.append(f"  fused({bag}) with default {self.default} -> {self.fused}")
         return out
 
-    def as_dict(self) -> dict:
-        if not self.controllable:
-            return {"event": self.event, "controllable": False}
-        return {
-            "event": self.event,
-            "controllable": True,
-            "supervisors": [
-                {
-                    "supervisor": v.supervisor + 1,
-                    "estimate": sorted(v.estimate),
-                    "class": [w.pretty() for w in v.class_members],
-                    "knows_can_enable": v.truths[0],
-                    "knows_can_disable": v.truths[1],
-                    "knows_cover_enable": v.truths[2],
-                    "knows_cover_disable": v.truths[3],
-                    "decision": v.decision.value,
-                    "case": v.case.value if v.case else None,
-                }
-                for v in self.views
-            ],
-            "fused": self.fused.value if self.fused else None,
-            "default": self.default.value if self.default else None,
-        }
-
 
 def explain(frame: KripkeFrame, result: SynthesisResult, w: World,
             event: str) -> Explanation:

@@ -18,6 +18,8 @@ same thing.
 
 from __future__ import annotations
 
+from collections import defaultdict
+from collections.abc import Mapping, Set as AbstractSet
 from dataclasses import dataclass
 from typing import Literal
 
@@ -220,6 +222,10 @@ class KripkeFrame:
     keeps every class lying inside the truth set of ``f``.  Truth sets are
     memoized per (relation, formula), never per world; the cache is
     write-once per key, so sharing the frame between readers is safe.
+
+    The valuation is read off one table, built in a single pass over the
+    model's transitions: per proposition kind and event, the plant states
+    where the proposition holds.
     """
 
     def __init__(self, composite: Composite, model: PlantSpec,
@@ -229,27 +235,23 @@ class KripkeFrame:
         self.profile = profile
         self.worlds = composite.worlds
         self._index = {w: k for k, w in enumerate(self.worlds)}
-        self._legal = {w: (w.plant in model.legal_states) for w in self.worlds}
         self.all_bits = (1 << len(self.worlds)) - 1
-        self.legal_bits = _mask(self._legal[w] for w in self.worlds)
-        n = profile.n
-        total: list[dict[Estimate, list[World]]] = [{} for _ in range(n)]
-        partial: list[dict[Estimate, list[World]]] = [{} for _ in range(n)]
-        for w in self.worlds:
-            for i in range(n):
-                total[i].setdefault(w.estimates[i], []).append(w)
-                if self._legal[w]:
-                    partial[i].setdefault(w.estimates[i], []).append(w)
-        self._total = [{k: tuple(v) for k, v in per.items()} for per in total]
-        self._partial = [{k: tuple(v) for k, v in per.items()} for per in partial]
-        self._classes: dict[tuple[int, Relation], list[tuple[int, int]]] = {}
-        self._props: dict[Prop, int] = {}
+        self._states: dict[str, Mapping[str | None, AbstractSet[str]]] = {
+            "state_legal": {None: model.legal_states}}
+        for kind, transitions in (("possible", model.delta),
+                                  ("legal", model.legal_transitions)):
+            self._states[kind] = by_event = defaultdict(set)
+            for q, ev in transitions:
+                by_event[ev].add(q)
+        self._classes: dict[tuple[int, Relation], list[int]] = {}
+        self._props: dict[tuple[str, str | None], int] = {}
         self._truth: dict[tuple[Relation, Formula], int] = {}
+        self.legal_bits = self._prop_set(STATE_LEGAL)
 
     # -- structure ---------------------------------------------------------
 
     def world_legal(self, w: World) -> bool:
-        return self._legal[w]
+        return w.plant in self.model.legal_states
 
     def class_of(self, w: World, i: int, relation: Relation = "partial") -> tuple[World, ...]:
         """The accessibility class of ``w`` for supervisor ``i``.
@@ -257,11 +259,10 @@ class KripkeFrame:
         Under the partial relation the class of a world with an illegal plant
         state is empty.
         """
-        if relation == "total":
-            return self._total[i][w.estimates[i]]
-        if not self._legal[w]:
+        if relation == "partial" and not self.world_legal(w):
             return ()
-        return self._partial[i][w.estimates[i]]
+        return tuple(v for v in self.worlds if v.estimates[i] == w.estimates[i]
+                     and (relation == "total" or self.world_legal(v)))
 
     def witness(self, w: World):
         return self.composite.witnesses[w]
@@ -272,23 +273,18 @@ class KripkeFrame:
 
     # -- valuation ---------------------------------------------------------
 
-    def pi(self, w: World, prop: Prop) -> bool:
-        if prop.kind == "possible":
-            return (w.plant, prop.event) in self.model.delta
-        if prop.kind == "legal":
-            return (w.plant, prop.event) in self.model.legal_transitions
-        if prop.kind == "state_legal":
-            return self._legal[w]
-        raise ModelError(f"unknown proposition kind {prop.kind!r}")
-
     def _prop_set(self, prop: Prop) -> int:
         """The worlds where ``prop`` holds, computed once per frame."""
         if prop.event is not None and prop.event not in self.model.events:
             raise ModelError(f"proposition refers to unknown event {prop.event!r}")
-        found = self._props.get(prop)
+        key = (prop.kind, prop.event)
+        found = self._props.get(key)
         if found is None:
-            found = _mask(self.pi(w, prop) for w in self.worlds)
-            self._props[prop] = found
+            by_event = self._states.get(prop.kind)
+            if by_event is None:
+                raise ModelError(f"unknown proposition kind {prop.kind!r}")
+            states = by_event.get(prop.event, ())
+            found = self._props[key] = _mask(w.plant in states for w in self.worlds)
         return found
 
     # -- evaluation --------------------------------------------------------
@@ -322,32 +318,32 @@ class KripkeFrame:
                     | self.truth_set(phi.right, relation))
         if isinstance(phi, Know):
             sub = self.truth_set(phi.sub, relation)
-            out = 0
-            for holders, members in self._classes_of(phi.agent, relation):
+            # Under the partial relation an illegal world's class is empty,
+            # so knowledge holds there vacuously.
+            out = 0 if relation == "total" else self.all_bits ^ self.legal_bits
+            for members in self._classes_of(phi.agent, relation):
                 if members & sub == members:
-                    out |= holders
+                    out |= members
             return out
         raise TypeError(f"not a formula: {phi!r}")
 
-    def _classes_of(self, i: int, relation: Relation) -> list[tuple[int, int]]:
-        """Supervisor i's classes as (holders, members) bitset pairs.
+    def _classes_of(self, i: int, relation: Relation) -> list[int]:
+        """Supervisor i's accessibility classes as bitsets.
 
-        Worlds are grouped by the class :meth:`class_of` returns for them:
-        ``holders`` are the worlds sharing one class, ``members`` the worlds
-        in it.  Under the partial relation the illegal worlds share the empty
-        class, so knowledge holds there vacuously.
+        The total classes group the worlds by their estimate for supervisor
+        i; the partial classes are their legal parts, the empty ones dropped.
         """
         key = (i, relation)
         found = self._classes.get(key)
         if found is None:
-            groups: dict[int, tuple[tuple[World, ...], list[int]]] = {}
-            for k, w in enumerate(self.worlds):
-                cls = self.class_of(w, i, relation)
-                # Keyed by identity: the frame hands out one tuple per class,
-                # and holding ``cls`` here keeps its id from being reused.
-                groups.setdefault(id(cls), (cls, []))[1].append(k)
-            found = [(_bits(ks), _bits(self._index[v] for v in cls))
-                     for cls, ks in groups.values()]
+            if relation == "partial":
+                found = [legal for c in self._classes_of(i, "total")
+                         if (legal := c & self.legal_bits)]
+            else:
+                groups: dict[Estimate, list[int]] = {}
+                for k, w in enumerate(self.worlds):
+                    groups.setdefault(w.estimates[i], []).append(k)
+                found = [_bits(ks) for ks in groups.values()]
             self._classes[key] = found
         return found
 

@@ -27,6 +27,10 @@ from .synthesis import PolicyCase, Supervisor, SynthesisResult
 
 _NAME = re.compile(r"^[^\s#=]+$")
 
+# Parsing allocates per supervisor, so the count is bounded before anything
+# is built for it.
+MAX_SUPERVISORS = 1000
+
 
 def _parse_indices(spec: str, n: int, line: int) -> frozenset[int]:
     out = set()
@@ -61,10 +65,15 @@ def parse_model(text: str) -> tuple[PlantSpec, SupervisionProfile]:
         if keyword == "supervisors":
             if n is not None:
                 raise FormatError("duplicate supervisors directive", lineno)
-            # isdecimal, unlike isdigit, admits only digits int() reads.
-            if len(args) != 1 or not args[0].isdecimal() or int(args[0]) < 1:
+            # isdecimal, unlike isdigit, admits only digits int() reads; the
+            # length test keeps int() off digit strings too long to convert.
+            count = args[0].lstrip("0") if len(args) == 1 and args[0].isdecimal() else ""
+            if not count:
                 raise FormatError("supervisors needs one positive count", lineno)
-            n = int(args[0])
+            if len(count) > len(str(MAX_SUPERVISORS)) or int(count) > MAX_SUPERVISORS:
+                raise FormatError(
+                    f"supervisors count exceeds the ceiling of {MAX_SUPERVISORS}", lineno)
+            n = int(count)
         elif keyword == "event":
             if not args:
                 raise FormatError("event needs a name", lineno)

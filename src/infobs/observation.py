@@ -77,7 +77,9 @@ def project(model: PlantSpec, profile: SupervisionProfile, i: int) -> Observer:
     observable = profile.observable[i]
     unobservable = model.events - observable
     initial = _closure(model, unobservable, {model.initial})
-    states = {initial}
+    # Each estimate maps to its first stored object, so equal estimates are
+    # one object and lookups keyed on them compare by identity.
+    states = {initial: initial}
     delta: dict[tuple[Estimate, str], Estimate] = {}
     queue = deque([initial])
     while queue:
@@ -87,10 +89,10 @@ def project(model: PlantSpec, profile: SupervisionProfile, i: int) -> Observer:
             if not step:
                 continue
             target = _closure(model, unobservable, step)
-            delta[(est, ev)] = target
             if target not in states:
-                states.add(target)
+                states[target] = target
                 queue.append(target)
+            delta[(est, ev)] = states[target]
     return Observer(i, observable, initial, frozenset(states), delta)
 
 
@@ -112,7 +114,8 @@ class Composite:
     Only reachable worlds are materialized; ``worlds`` is in breadth-first
     order (events expanded in name order), and ``witnesses`` maps each world
     to its shortest generating word, ties broken lexicographically.  The
-    composite generates the same language as the plant.
+    composite generates the same language as the plant.  ``observers`` are
+    the observers it was composed from, one per supervisor.
     """
 
     events: frozenset[str]
@@ -120,6 +123,7 @@ class Composite:
     worlds: tuple[World, ...]
     delta: Mapping[tuple[World, str], World]
     witnesses: Mapping[World, Word]
+    observers: tuple[Observer, ...]
 
     def automaton(self) -> Automaton:
         return Automaton(self.events, self.initial, dict(self.delta))
@@ -157,7 +161,8 @@ def compose(model: PlantSpec, observers: Sequence[Observer],
                 worlds.append(target)
                 witnesses[target] = witnesses[world] + (ev,)
                 queue.append(target)
-    return Composite(model.events, initial, tuple(worlds), delta, witnesses)
+    return Composite(model.events, initial, tuple(worlds), delta, witnesses,
+                     tuple(observers))
 
 
 def build_composite(model: PlantSpec, profile: SupervisionProfile) -> Composite:

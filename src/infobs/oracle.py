@@ -96,13 +96,12 @@ def _projected(word: Word, profile: SupervisionProfile, i: int) -> Word:
 
 def oracle_condition(model: PlantSpec, profile: SupervisionProfile,
                      which: str, relation: str = "partial",
-                     world_domain: str = "legal",
-                     sigma_domain: str = "controllable") -> bool:
+                     world_domain: str = "legal") -> bool:
     """Decide a condition with nested loops straight off its definition.
 
     Supported ids: ``controllability``, ``extended``, ``corrected``,
     ``split``, ``legacy``, ``cp``, ``da``, ``strong_cp``, ``strong_da``.
-    ``relation``/``world_domain``/``sigma_domain`` only apply to ``legacy``.
+    ``relation`` and ``world_domain`` only apply to ``legacy``.
     """
     composite = build_composite(model, profile)
     worlds = composite.worlds
@@ -180,10 +179,8 @@ def oracle_condition(model: PlantSpec, profile: SupervisionProfile,
     if which in ("corrected", "split", "legacy"):
         rel = relation if which == "legacy" else "partial"
         domain = world_domain if which == "legacy" else "legal"
-        events = (model.events if which == "legacy" and sigma_domain == "all"
-                  else profile.sigma_c)
         pool = worlds if domain == "all" else legal_worlds
-        for ev in sorted(events):
+        for ev in sorted(profile.sigma_c):
             ctrl = profile.controllers(ev)
             for w in pool:
                 if e(w, ev):

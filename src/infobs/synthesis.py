@@ -26,7 +26,7 @@ from .errors import (ModelError, NotControllable, NotInferenceObservable,
 from .fusion import ABSTAIN, ENABLE, OFF, ON, WOFF, WON, ControlDecision, \
     FusedDecision, fuse
 from .kripke import KripkeFrame
-from .observation import Estimate, Observer, World, compose, project
+from .observation import Estimate, Observer, World, compose
 
 
 class PolicyCase(Enum):
@@ -166,7 +166,7 @@ def synthesize(model: PlantSpec, profile: SupervisionProfile,
             for est, (decision, case) in project_policy(frame, i, ev).items():
                 table[(est, ev)] = decision
                 provenance[(i, est, ev)] = case
-        supervisors.append(Supervisor(project(model, profile, i), table))
+        supervisors.append(Supervisor(frame.composite.observers[i], table))
     assert observability.defaults is not None
     return SynthesisResult(tuple(supervisors), dict(observability.defaults),
                            provenance, frame)

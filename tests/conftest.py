@@ -232,15 +232,22 @@ def random_formula(rng: random.Random, events, n_agents: int, depth: int,
 
 
 def reference_eval(frame, w, phi, relation="partial") -> bool:
-    """The inductive semantics, world by world over ``class_of``.
+    """The inductive semantics, world by world, straight off the model.
 
-    Deliberately naive (no memo, no bitsets) so it shares nothing with
-    :meth:`KripkeFrame.truth_set` beyond the accessibility classes.
+    Deliberately naive (no memo, no bitsets): it reads only the frame's
+    ``model`` and ``worlds`` and rebuilds valuation and accessibility from
+    the transition tables and the worlds' estimates, so it shares nothing
+    with the :class:`KripkeFrame` under test.
     """
+    model = frame.model
     if isinstance(phi, Const):
         return phi.value
     if isinstance(phi, Var):
-        return frame.pi(w, phi.prop)
+        prop = phi.prop
+        if prop.kind == "state_legal":
+            return w.plant in model.legal_states
+        table = model.delta if prop.kind == "possible" else model.legal_transitions
+        return (w.plant, prop.event) in table
     if isinstance(phi, Not):
         return not reference_eval(frame, w, phi.sub, relation)
     if isinstance(phi, (And, Or, Implies)):
@@ -250,6 +257,11 @@ def reference_eval(frame, w, phi, relation="partial") -> bool:
             return left and right
         return (left or right) if isinstance(phi, Or) else (not left or right)
     if isinstance(phi, Know):
+        i = phi.agent
+        if relation == "partial" and w.plant not in model.legal_states:
+            return True
         return all(reference_eval(frame, v, phi.sub, relation)
-                   for v in frame.class_of(w, phi.agent, relation))
+                   for v in frame.worlds
+                   if v.estimates[i] == w.estimates[i]
+                   and (relation == "total" or v.plant in model.legal_states))
     raise TypeError(f"not a formula: {phi!r}")

@@ -268,6 +268,13 @@ class TestInputHardening:
         code, out, err = run(capsys, "check", str(bad))
         assert code == 2 and not out and "line 1" in err
 
+    def test_supervisor_count_above_the_ceiling_exits_two(self, capsys,
+                                                          tmp_path):
+        bad = tmp_path / "count.des"
+        bad.write_text("supervisors 1000000000\n")
+        code, out, err = run(capsys, "check", str(bad))
+        assert code == 2 and not out and "line 1" in err and "ceiling" in err
+
     def test_oracle_seed_is_not_a_flag(self, capsys):
         code, out, _ = run(capsys, "oracle", GAP, "--mode", "search",
                            "--seed", "3")

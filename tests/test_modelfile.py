@@ -53,10 +53,17 @@ class TestParse:
         assert fragment in str(err.value)
         assert err.value.line == bad_line
 
-    @pytest.mark.parametrize("count", ["\u00b2", "0", "-1", "two", "1 2"])
-    def test_supervisor_count_must_be_a_positive_number(self, count):
-        # A superscript two passes str.isdigit but not int().
-        with pytest.raises(FormatError, match="positive count") as err:
+    @pytest.mark.parametrize("count,message", [
+        ("\u00b2", "positive count"), ("0", "positive count"),
+        ("-1", "positive count"), ("two", "positive count"),
+        ("1 2", "positive count"),
+        ("1000000000", "exceeds the ceiling of 1000"),
+        ("9" * 5000, "exceeds the ceiling of 1000"),
+    ], ids=["\u00b2", "0", "-1", "two", "1 2", "1000000000", "5000-digits"])
+    def test_supervisor_count_must_be_a_positive_number(self, count, message):
+        # A superscript two passes str.isdigit but not int(), and int()
+        # refuses digit strings past a few thousand digits.
+        with pytest.raises(FormatError, match=message) as err:
             parse_model(GOOD.replace("supervisors 2", f"supervisors {count}"))
         assert err.value.line == 2
 

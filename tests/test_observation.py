@@ -49,6 +49,17 @@ class TestProject:
                             dst = model.delta.get((q, ev))
                             assert dst is None or dst in est
 
+    def test_transition_targets_are_the_stored_estimates(self):
+        # Equal estimates are one object, so lookups keyed on them hit by
+        # identity instead of comparing plant-state sets.
+        for model, profile in instance_stream(32, 40):
+            for i in range(profile.n):
+                observer = project(model, profile, i)
+                stored = {id(est) for est in observer.states}
+                assert all(id(target) in stored
+                           for target in observer.delta.values())
+                assert all(id(est) in stored for est, _ev in observer.delta)
+
 
 class TestCompose:
     def test_gap_model_has_one_world_per_word_class(self, legacy_gap, legacy_gap_frame):

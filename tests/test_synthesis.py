@@ -79,10 +79,11 @@ class TestProjectPolicy:
         model, profile = legacy_gap
 
         class BrokenFrame(KripkeFrame):
-            def class_of(self, w, i, relation="partial"):
+            def _classes_of(self, i, relation):
                 if i == 0 and relation == "partial":
-                    return (w,)
-                return super().class_of(w, i, relation)
+                    return [1 << k for k in range(len(self.worlds))
+                            if self.legal_bits >> k & 1]
+                return super()._classes_of(i, relation)
 
         broken = BrokenFrame(build_composite(model, profile), model, profile)
         with pytest.raises(PolicyAmbiguity):
@@ -104,6 +105,14 @@ class TestSynthesize:
         result = synthesize(model, profile)
         cases = set(result.provenance.values())
         assert PolicyCase.BET_DISABLE in cases and PolicyCase.KNOWS_ENABLE in cases
+
+    def test_supervisors_reuse_the_composite_observers(self, conditional_bets):
+        model, profile = conditional_bets
+        frame = default_frame(model, profile)
+        result = synthesize(model, profile, frame)
+        for sup, observer in zip(result.supervisors, frame.composite.observers,
+                                 strict=True):
+            assert sup.observer is observer
 
     def test_not_controllable_is_raised_with_the_verdict(self, legacy_gap):
         model, profile = legacy_gap
