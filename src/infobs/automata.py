@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Iterable, Iterator, Mapping
 
 from .errors import AlphabetMismatch, EnumerationBound, ModelError
@@ -48,6 +49,14 @@ class PlantSpec:
     delta: Mapping[tuple[str, str], str]
     legal_states: frozenset[str]
     legal_transitions: frozenset[tuple[str, str]]
+
+    @cached_property
+    def successors(self) -> dict[str, dict[str, str]]:
+        """``event -> {state: successor}``, one entry per event of the model."""
+        table: dict[str, dict[str, str]] = {ev: {} for ev in self.events}
+        for (src, ev), dst in self.delta.items():
+            table.setdefault(ev, {})[src] = dst
+        return table
 
     def possible(self, state: str, event: str) -> bool:
         """True when the event can physically occur at the state."""

@@ -19,7 +19,7 @@ same thing.
 from __future__ import annotations
 
 from collections import defaultdict
-from collections.abc import Mapping, Set as AbstractSet
+from collections.abc import Container, Mapping
 from dataclasses import dataclass
 from typing import Literal
 
@@ -223,9 +223,10 @@ class KripkeFrame:
     memoized per (relation, formula), never per world; the cache is
     write-once per key, so sharing the frame between readers is safe.
 
-    The valuation is read off one table, built in a single pass over the
-    model's transitions: per proposition kind and event, the plant states
-    where the proposition holds.
+    The valuation is read off one table: per proposition kind and event,
+    the plant states where the proposition holds.  ``possible`` is the
+    model's :attr:`~infobs.automata.PlantSpec.successors` table, ``legal``
+    one pass over the legal transitions.
     """
 
     def __init__(self, composite: Composite, model: PlantSpec,
@@ -236,13 +237,12 @@ class KripkeFrame:
         self.worlds = composite.worlds
         self._index = {w: k for k, w in enumerate(self.worlds)}
         self.all_bits = (1 << len(self.worlds)) - 1
-        self._states: dict[str, Mapping[str | None, AbstractSet[str]]] = {
-            "state_legal": {None: model.legal_states}}
-        for kind, transitions in (("possible", model.delta),
-                                  ("legal", model.legal_transitions)):
-            self._states[kind] = by_event = defaultdict(set)
-            for q, ev in transitions:
-                by_event[ev].add(q)
+        legal: defaultdict[str, set[str]] = defaultdict(set)
+        for q, ev in model.legal_transitions:
+            legal[ev].add(q)
+        self._states: dict[str, Mapping[str | None, Container[str]]] = {
+            "state_legal": {None: model.legal_states},
+            "possible": model.successors, "legal": legal}
         self._classes: dict[tuple[int, Relation], list[int]] = {}
         self._props: dict[tuple[str, str | None], int] = {}
         self._truth: dict[tuple[Relation, Formula], int] = {}

@@ -291,19 +291,53 @@ def load_supervisors(directory: str | Path) -> SynthesisResult:
 
 
 def _supervisor_from_json(data, provenance: dict) -> Supervisor:
-    index = int(data["supervisor"]) - 1
-    states = frozenset(frozenset(e) for e in data["states"])
-    delta = {(frozenset(t["src"]), t["event"]): frozenset(t["dst"])
-             for t in data["transitions"]}
-    observer = Observer(index, frozenset(data["observable"]),
-                        frozenset(data["initial"]), states, delta)
-    table = {}
-    for entry in data["table"]:
-        est = frozenset(entry["state"])
-        table[(est, entry["event"])] = ControlDecision(entry["decision"])
+    """One supervisor, with every estimate it names resolved to the stored
+    object in ``states``, as :func:`~infobs.observation.project` stores them."""
+    if type(data["supervisor"]) is not int:  # bool is an int subclass
+        raise ValueError(f"supervisor must be an integer, not {data['supervisor']!r}")
+    index = data["supervisor"] - 1
+    stored: dict[Estimate, Estimate] = {}
+    for k, raw in enumerate(_list(data, "states")):
+        est = _names(raw, f"states[{k}]")
+        stored.setdefault(est, est)
+
+    def state(value, what: str) -> Estimate:
+        est = _names(value, what)
+        if est not in stored:
+            raise ValueError(f"{what} {sorted(est)} is not among states")
+        return stored[est]
+
+    def add(table: dict, key: tuple[Estimate, str], value, what: str) -> None:
+        if key in table:
+            raise ValueError(f"{what} repeats state {sorted(key[0])} and event {key[1]!r}")
+        table[key] = value
+
+    delta: dict[tuple[Estimate, str], Estimate] = {}
+    for k, t in enumerate(_list(data, "transitions")):
+        add(delta, (state(t["src"], f"transitions[{k}].src"), t["event"]),
+            state(t["dst"], f"transitions[{k}].dst"), f"transitions[{k}]")
+    observer = Observer(index, _names(data["observable"], "observable"),
+                        state(data["initial"], "initial"), frozenset(stored), delta)
+    table: dict[tuple[Estimate, str], ControlDecision] = {}
+    for k, entry in enumerate(_list(data, "table")):
+        key = (state(entry["state"], f"table[{k}].state"), entry["event"])
+        add(table, key, ControlDecision(entry["decision"]), f"table[{k}]")
         if "case" in entry:
-            provenance[(index, est, entry["event"])] = PolicyCase(entry["case"])
+            provenance[(index, *key)] = PolicyCase(entry["case"])
     return Supervisor(observer, table)
+
+
+def _list(data, key: str) -> list:
+    if not isinstance(data[key], list):
+        raise ValueError(f"{key} must be a list, not {data[key]!r}")
+    return data[key]
+
+
+def _names(value, what: str) -> frozenset[str]:
+    """An estimate or an event set: a JSON list of strings, nothing else."""
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise ValueError(f"{what} must be a list of names, not {value!r}")
+    return frozenset(value)
 
 
 @contextmanager

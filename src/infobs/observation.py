@@ -10,8 +10,9 @@ estimate; its worlds are the carriers of the epistemic structures built in
 
 from __future__ import annotations
 
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .automata import Automaton, PlantSpec, SupervisionProfile, Word
@@ -41,11 +42,15 @@ class Observer:
             return estimate
         target = self.delta.get((estimate, event))
         if target is None:
-            raise ModelError(
-                f"observer {self.supervisor + 1} cannot follow observable event "
-                f"{event!r} from estimate {sorted(estimate)}"
-            )
+            raise self.stuck(estimate, event)
         return target
+
+    def stuck(self, estimate: Estimate, event: str) -> ModelError:
+        """The error for an observable event with no move from ``estimate``."""
+        return ModelError(
+            f"observer {self.supervisor + 1} cannot follow observable event "
+            f"{event!r} from estimate {sorted(estimate)}"
+        )
 
     def run(self, word: Sequence[str]) -> Estimate:
         est = self.initial
@@ -57,38 +62,41 @@ class Observer:
         return Automaton(self.observable, self.initial, dict(self.delta))
 
 
-def _closure(model: PlantSpec, unobservable: frozenset[str], seed: set[str]) -> Estimate:
-    out = set(seed)
-    queue = deque(seed)
-    while queue:
-        q = queue.popleft()
-        for ev in unobservable:
-            dst = model.delta.get((q, ev))
-            if dst is not None and dst not in out:
-                out.add(dst)
-                queue.append(dst)
-    return frozenset(out)
-
-
 def project(model: PlantSpec, profile: SupervisionProfile, i: int) -> Observer:
     """Subset construction over unobservable closures for supervisor ``i``."""
     if not 0 <= i < profile.n:
         raise ModelError(f"no supervisor with index {i}")
     observable = profile.observable[i]
-    unobservable = model.events - observable
-    initial = _closure(model, unobservable, {model.initial})
+    moves = model.successors
+    silent: defaultdict[str, list[str]] = defaultdict(list)
+    for ev in model.events - observable:
+        for q, dst in moves[ev].items():
+            silent[q].append(dst)
+
+    def close(seed: set[str]) -> Estimate:
+        out = set(seed)
+        todo = list(seed)
+        for q in todo:  # grows while it is read
+            for dst in silent.get(q, ()):
+                if dst not in out:
+                    out.add(dst)
+                    todo.append(dst)
+        return frozenset(out)
+
+    initial = close({model.initial})
     # Each estimate maps to its first stored object, so equal estimates are
     # one object and lookups keyed on them compare by identity.
     states = {initial: initial}
     delta: dict[tuple[Estimate, str], Estimate] = {}
+    events = [(ev, moves.get(ev, {})) for ev in sorted(observable)]
     queue = deque([initial])
     while queue:
         est = queue.popleft()
-        for ev in sorted(observable):
-            step = {model.delta[(q, ev)] for q in est if (q, ev) in model.delta}
+        for ev, succ in events:
+            step = {succ[q] for q in est if q in succ}
             if not step:
                 continue
-            target = _closure(model, unobservable, step)
+            target = close(step)
             if target not in states:
                 states[target] = target
                 queue.append(target)
@@ -115,18 +123,25 @@ class Composite:
     order (events expanded in name order), and ``witnesses`` maps each world
     to its shortest generating word, ties broken lexicographically.  The
     composite generates the same language as the plant.  ``observers`` are
-    the observers it was composed from, one per supervisor.
+    the observers it was composed from, one per supervisor.  ``edges`` lists
+    every move as ``(source index, event, target index)`` into ``worlds``;
+    the world-keyed :attr:`delta` is built from it on first read.
     """
 
     events: frozenset[str]
     initial: World
     worlds: tuple[World, ...]
-    delta: Mapping[tuple[World, str], World]
+    edges: tuple[tuple[int, str, int], ...]
     witnesses: Mapping[World, Word]
     observers: tuple[Observer, ...]
 
+    @cached_property
+    def delta(self) -> dict[tuple[World, str], World]:
+        worlds = self.worlds
+        return {(worlds[src], ev): worlds[dst] for src, ev, dst in self.edges}
+
     def automaton(self) -> Automaton:
-        return Automaton(self.events, self.initial, dict(self.delta))
+        return Automaton(self.events, self.initial, self.delta)
 
 
 def compose(model: PlantSpec, observers: Sequence[Observer],
@@ -138,31 +153,59 @@ def compose(model: PlantSpec, observers: Sequence[Observer],
     :func:`project`, the plant state is always a member of every estimate.
     ``enabled(world, event)``, when given, drops every move it rejects, which
     turns the walk into a closed loop under supervision.
+
+    The walk runs on ``(plant state, estimate id, ...)`` keys: each
+    observer's estimates are numbered and its transitions turned into one
+    ``id -> id`` table per observable event (``None`` for an event it does
+    not observe), and a :class:`World` is built once, when first reached.
     """
     if len(observers) < 1:
         raise ModelError("the composite needs at least one observer")
+    estimates: list[list[Estimate]] = []
+    tables: list[dict[str, dict[int, int]]] = []
+    for o in observers:
+        # Ids in order of first appearance: the initial estimate is 0.
+        ids: dict[Estimate, int] = {o.initial: 0}
+        table: dict[str, dict[int, int]] = {ev: {} for ev in o.observable}
+        for (est, ev), dst in o.delta.items():
+            if ev in table:
+                table[ev][ids.setdefault(est, len(ids))] = ids.setdefault(dst, len(ids))
+        estimates.append(list(ids))
+        tables.append(table)
+    succ = model.successors
+    plan = [(ev, succ[ev], [t.get(ev) for t in tables])
+            for ev in sorted(model.events)]
     initial = World(model.initial, tuple(o.initial for o in observers))
-    worlds: list[World] = [initial]
-    seen = {initial}
-    delta: dict[tuple[World, str], World] = {}
+    keys = [(model.initial, *(0 for _ in observers))]
+    index = {keys[0]: 0}
+    worlds = [initial]
     witnesses: dict[World, Word] = {initial: ()}
-    queue = deque([initial])
-    while queue:
-        world = queue.popleft()
-        for ev in sorted(model.events):
-            dst = model.delta.get((world.plant, ev))
+    edges: list[tuple[int, str, int]] = []
+    src = 0
+    while src < len(keys):
+        plant, *ids_at = keys[src]
+        world = worlds[src]
+        for ev, moves, steps in plan:
+            dst = moves.get(plant)
             if dst is None or (enabled is not None and not enabled(world, ev)):
                 continue
-            estimates = tuple(o.step(est, ev) for o, est in zip(observers, world.estimates))
-            target = World(dst, estimates)
-            delta[(world, ev)] = target
-            if target not in seen:
-                seen.add(target)
-                worlds.append(target)
-                witnesses[target] = witnesses[world] + (ev,)
-                queue.append(target)
-    return Composite(model.events, initial, tuple(worlds), delta, witnesses,
-                     tuple(observers))
+            nxt = [k if step is None else step.get(k)
+                   for step, k in zip(steps, ids_at)]
+            if None in nxt:
+                j = nxt.index(None)
+                raise observers[j].stuck(estimates[j][ids_at[j]], ev)
+            key = (dst, *nxt)
+            target = index.get(key)
+            if target is None:
+                target = index[key] = len(keys)
+                keys.append(key)
+                reached = World(dst, tuple(found[k] for found, k in zip(estimates, nxt)))
+                worlds.append(reached)
+                witnesses[reached] = witnesses[world] + (ev,)
+            edges.append((src, ev, target))
+        src += 1
+    return Composite(model.events, initial, tuple(worlds), tuple(edges),
+                     witnesses, tuple(observers))
 
 
 def build_composite(model: PlantSpec, profile: SupervisionProfile) -> Composite:

@@ -66,6 +66,7 @@ def _legal_words(model: PlantSpec, k: int) -> list[tuple[Word, str]]:
 def oracle_solves(model: PlantSpec, profile: SupervisionProfile,
                   result: SynthesisResult, k: int = 6) -> OracleVerdict:
     """Replay the solvability requirements over all words of length <= k."""
+    result.require_fits(profile)
     sigma_c = profile.sigma_c
     for word, state in _legal_words(model, k):
         for ev in sorted(model.events):

@@ -26,6 +26,7 @@ class Simulator:
 
     def __init__(self, model: PlantSpec, profile: SupervisionProfile,
                  result: SynthesisResult, frame: KripkeFrame):
+        result.require_fits(profile)
         self.model = model
         self.profile = profile
         self.result = result

@@ -78,6 +78,16 @@ class SynthesisResult:
     provenance: Mapping[tuple[int, Estimate, str], PolicyCase]
     frame: KripkeFrame | None = field(default=None, compare=False, repr=False)
 
+    def require_fits(self, profile: SupervisionProfile) -> None:
+        """Raise :class:`ModelError` unless there is one supervisor per
+        profile entry and a default for every controlled event."""
+        if len(self.supervisors) != profile.n:
+            raise ModelError("one supervisor per profile entry is required")
+        missing = profile.sigma_c - self.defaults.keys()
+        if missing:
+            raise ModelError("no default for controlled events: "
+                             + ", ".join(sorted(missing)))
+
 
 def policy_truths(frame: KripkeFrame, w: World, event: str, i: int) -> tuple[bool, bool, bool, bool]:
     """The four knowledge values the policy reads, in table order."""
@@ -181,8 +191,7 @@ def closed_loop(model: PlantSpec, profile: SupervisionProfile,
     the fused decision of its controllers to be enable.  Fusion errors
     propagate; they are unreachable for synthesized supervisors.
     """
-    if len(result.supervisors) != profile.n:
-        raise ModelError("one supervisor per profile entry is required")
+    result.require_fits(profile)
 
     def enabled(world: World, ev: str) -> bool:
         bag = [result.supervisors[i].decide(world.estimates[i], ev)

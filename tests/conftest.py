@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import random
-from collections import defaultdict
+from collections import defaultdict, deque
 from pathlib import Path
 
 import pytest
@@ -11,7 +11,8 @@ import pytest
 from infobs import (And, Const, Implies, Know, Not, Or, PlantSpec,
                     SupervisionProfile, Var, any_knows, default_frame,
                     language_upto, legal, load_model, possible, synthesize)
-from infobs.errors import SynthesisError
+from infobs.errors import ModelError, SynthesisError
+from infobs.observation import World
 from infobs.randgen import instance_stream, random_instance
 
 MODELS = Path(__file__).resolve().parent.parent / "examples" / "models"
@@ -165,6 +166,38 @@ def run_word(model: PlantSpec, word) -> str | None:
         if state is None:
             return None
     return state
+
+
+def reference_compose(model: PlantSpec, observers, enabled=None):
+    """The composite walk keyed by :class:`World` throughout.
+
+    Each move is looked up in ``model.delta`` and ``Observer.step`` and
+    each target hashed as a ``World``; no successor tables, no ids.
+    Returns ``(initial, worlds, delta, witnesses)``.
+    """
+    if len(observers) < 1:
+        raise ModelError("the composite needs at least one observer")
+    initial = World(model.initial, tuple(o.initial for o in observers))
+    worlds = [initial]
+    seen = {initial}
+    delta = {}
+    witnesses = {initial: ()}
+    queue = deque([initial])
+    while queue:
+        world = queue.popleft()
+        for ev in sorted(model.events):
+            dst = model.delta.get((world.plant, ev))
+            if dst is None or (enabled is not None and not enabled(world, ev)):
+                continue
+            estimates = tuple(o.step(est, ev) for o, est in zip(observers, world.estimates))
+            target = World(dst, estimates)
+            delta[(world, ev)] = target
+            if target not in seen:
+                seen.add(target)
+                worlds.append(target)
+                witnesses[target] = witnesses[world] + (ev,)
+                queue.append(target)
+    return initial, tuple(worlds), delta, witnesses
 
 
 def estimate_groups(model: PlantSpec, profile: SupervisionProfile, i: int,

@@ -1,5 +1,7 @@
 """Plant model, reachability, language enumeration, language equivalence."""
 
+from dataclasses import replace
+
 import pytest
 
 from infobs import (Automaton, PlantSpec, dfa_equivalent, language_upto,
@@ -25,6 +27,22 @@ def chain(states, moves, legal_states=None, legal_moves=None, events=None):
         legal_transitions=frozenset(legal_moves if legal_moves is not None
                                     else delta.keys()),
     )
+
+
+class TestSuccessors:
+    def test_table_regroups_delta_by_event_and_is_built_once(self):
+        for model, _profile in instance_stream(33, 40):
+            table = model.successors
+            assert table is model.successors
+            assert set(table) == model.events
+            assert {(q, ev): dst for ev, row in table.items()
+                    for q, dst in row.items()} == dict(model.delta)
+
+    def test_cached_table_leaves_equality_alone(self, legacy_gap):
+        model, _ = legacy_gap
+        fresh = replace(model)
+        assert "successors" not in vars(fresh)
+        assert model.successors and model == fresh
 
 
 class TestReachable:

@@ -304,6 +304,36 @@ class TestInputHardening:
         assert code == 2
         assert name in err
 
+    @pytest.mark.parametrize("mangle, message", [
+        (lambda data: data.update(supervisor=1.5), "supervisor must be an integer"),
+        (lambda data: data.update(states={"a": 1}), "states must be a list"),
+        (lambda data: data.update(observable="ab"), "observable must be a list"),
+        (lambda data: data.update(initial="s0"), "initial must be a list"),
+        (lambda data: data["transitions"][0].update(dst=["q1"]),
+         "transitions[0].dst ['q1'] is not among states"),
+        (lambda data: data["table"][0].update(state=["q9"]),
+         "table[0].state ['q9'] is not among states"),
+        (lambda data: data["table"].append({**data["table"][0], "decision": "on"}),
+         "table[2] repeats state"),
+    ], ids=["supervisor-not-an-integer", "states-not-a-list", "observable-a-string", "initial-a-string",
+            "transition-target-not-a-state", "table-state-not-a-state",
+            "repeated-table-entry"])
+    def test_supervisor_file_defects_exit_two(self, capsys, sup_dir, mangle,
+                                              message):
+        # Each of these once loaded: a number rounded down to an index, a
+        # dict read by its keys, a string read letter by letter, an estimate
+        # that is not a state, a repeated entry replacing the first one.
+        path = sup_dir / "supervisor_1.json"
+        data = json.loads(path.read_text())
+        mangle(data)
+        path.write_text(json.dumps(data))
+        for argv in (("verify", GAP, "--supervisors", str(sup_dir)),
+                     ("oracle", GAP, "--mode", "solve", "--supervisors",
+                      str(sup_dir))):
+            code, out, err = run(capsys, *argv)
+            assert code == 2 and not out
+            assert "supervisor_1.json" in err and message in err
+
     def test_directory_as_model_file_exits_two(self, capsys, tmp_path):
         code, _, err = run(capsys, "check", str(tmp_path))
         assert code == 2

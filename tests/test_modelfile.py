@@ -112,6 +112,19 @@ class TestSupervisorFiles:
             assert back.observer.delta == original.observer.delta
         assert loaded.provenance == result.provenance
 
+    def test_loaded_estimates_are_the_stored_ones(self, conditional_bets,
+                                                  tmp_path):
+        # As in ``project``: every estimate a loaded supervisor names is one
+        # of the objects in its observer's ``states``.
+        save_supervisors(synthesize(*conditional_bets), tmp_path)
+        for sup in load_supervisors(tmp_path).supervisors:
+            obs = sup.observer
+            stored = {id(est) for est in obs.states}
+            named = [obs.initial, *obs.delta.values(),
+                     *(est for est, _ev in obs.delta),
+                     *(est for est, _ev in sup.table)]
+            assert all(id(est) in stored for est in named)
+
     def test_missing_directory_content_is_reported(self, tmp_path):
         with pytest.raises(FormatError, match="no supervisor"):
             load_supervisors(tmp_path)

@@ -1,14 +1,26 @@
 """Observer construction and the plant/observer composite."""
 
+from dataclasses import replace
+
 import pytest
 
-from infobs import (SupervisionProfile, compose, dfa_equivalent,
-                    plant_automaton, project, reachable)
+from infobs import (SupervisionProfile, check_inf_obs_extended, closed_loop,
+                    compose, default_frame, dfa_equivalent, load_supervisors,
+                    plant_automaton, project, reachable, save_supervisors,
+                    synthesis)
 from infobs.errors import ModelError
 from infobs.observation import build_composite
 from infobs.randgen import instance_stream
 
-from conftest import estimate_groups
+from conftest import estimate_groups, reference_compose
+
+
+def assert_matches_reference(composite, model, observers, enabled=None):
+    initial, worlds, delta, witnesses = reference_compose(model, observers, enabled)
+    assert composite.initial == initial
+    assert composite.worlds == worlds
+    assert composite.delta == delta
+    assert composite.witnesses == witnesses
 
 
 class TestProject:
@@ -98,3 +110,71 @@ class TestCompose:
         assert first.worlds == second.worlds
         assert first.delta == second.delta
         assert first.witnesses == second.witnesses
+
+
+class TestComposeAgainstTheReference:
+    """The id-keyed walk against the World-keyed ``reference_compose``."""
+
+    @pytest.mark.parametrize("stream", ["n2_instances", "n3_instances"])
+    def test_unsupervised_composites_match(self, request, stream):
+        for model, _profile, frame in request.getfixturevalue(stream):
+            composite = frame.composite
+            assert_matches_reference(composite, model, composite.observers)
+
+    @staticmethod
+    def _closed_loops(monkeypatch, instances):
+        """Run ``closed_loop`` on each instance, checking every composite it
+        builds; return how many of them the supervisors pruned."""
+        pruned = []
+
+        def checked(model, observers, enabled=None):
+            composite = compose(model, observers, enabled)
+            assert_matches_reference(composite, model, observers, enabled)
+            pruned.append(len(composite.edges) < len(compose(model, observers).edges))
+            return composite
+
+        monkeypatch.setattr(synthesis, "compose", checked)
+        for model, profile, result in instances:
+            closed_loop(model, profile, result)
+        assert len(pruned) == len(instances)
+        return sum(pruned)
+
+    def test_closed_loops_of_synthesized_supervisors_match(self, monkeypatch,
+                                                           synthesized_instances):
+        assert self._closed_loops(monkeypatch, synthesized_instances) > 0
+
+    def test_closed_loops_of_loaded_supervisors_match(self, monkeypatch, tmp_path,
+                                                      synthesized_instances):
+        loaded = []
+        for k, (model, profile, result) in enumerate(synthesized_instances[:40]):
+            save_supervisors(result, tmp_path / str(k))
+            loaded.append((model, profile, load_supervisors(tmp_path / str(k))))
+        assert self._closed_loops(monkeypatch, loaded) > 0
+
+    def test_a_missing_observer_move_raises_the_step_error(self, legacy_gap):
+        model, profile = legacy_gap
+        observers = [project(model, profile, i) for i in range(profile.n)]
+        observers[0] = replace(observers[0], delta={})
+        with pytest.raises(ModelError) as ours:
+            compose(model, observers)
+        with pytest.raises(ModelError) as theirs:
+            reference_compose(model, observers)
+        assert str(ours.value) == str(theirs.value)
+        assert "observer 1 cannot follow observable event 'a'" in str(ours.value)
+
+    def test_moves_on_unobserved_events_are_ignored(self, legacy_gap):
+        # Supervisor 2 observes nothing, so a stray transition on g in its
+        # observer never moves it, as in ``Observer.step``.
+        model, profile = legacy_gap
+        observers = [project(model, profile, i) for i in range(profile.n)]
+        blind = observers[1]
+        observers[1] = replace(blind, delta={(blind.initial, "g"): frozenset({"q9"})})
+        assert_matches_reference(compose(model, observers), model, observers)
+
+    def test_a_check_does_not_build_the_world_keyed_delta(self, legacy_gap):
+        model, profile = legacy_gap
+        frame = default_frame(model, profile)
+        check_inf_obs_extended(frame, model, profile)
+        composite = frame.composite
+        assert "delta" not in vars(composite)
+        assert composite.automaton().delta is composite.delta
