@@ -1,15 +1,17 @@
 """Golden CLI outputs: exit code, stdout and stderr, replayed byte for byte.
 
 Covers ``check`` (text and ``--json``) and ``oracle --mode condition`` for
-every CLI condition on every example model, plus the refused flag
-combinations.  Regenerate after an intended output change with
-``PYTHONPATH=src python tests/test_golden.py``.
+every CLI condition on every example model, ``synthesize --json`` on every
+example model (written to a fresh temporary directory, named ``<tmp>`` in
+the case), plus the refused flag combinations.  Regenerate after an
+intended output change with ``PYTHONPATH=src python tests/test_golden.py``.
 """
 
 import contextlib
 import io
 import json
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -24,6 +26,7 @@ CONDITIONS = ("extended", "corrected", "split", "legacy", "cp", "da",
 REFUSED = (("strong-cp", "--relation", "partial"),
            ("corrected", "--relation", "total"),
            ("extended", "--worlds", "all"))
+TMP = "<tmp>"
 
 
 def cases() -> list[tuple[str, ...]]:
@@ -35,6 +38,7 @@ def cases() -> list[tuple[str, ...]]:
             out.append((path.name, "check", "--condition", c, "--json"))
             out.append((path.name, "oracle", "--mode", "condition",
                         "--condition", c))
+        out.append((path.name, "synthesize", "-o", TMP, "--json"))
     for c, flag, value in REFUSED:
         out.append(("legacy_gap.des", "check", "--condition", c, flag, value))
     return out
@@ -43,8 +47,10 @@ def cases() -> list[tuple[str, ...]]:
 def replay(case: tuple[str, ...]) -> dict:
     name, command, *rest = case
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main([command, str(MODELS / name), *rest])
+    with tempfile.TemporaryDirectory() as tmp, \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([command, str(MODELS / name),
+                     *(tmp if arg == TMP else arg for arg in rest)])
     return {"exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
 
 
