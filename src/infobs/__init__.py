@@ -13,8 +13,7 @@ from .automata import (Automaton, EquivalenceVerdict, PlantSpec,
                        language_upto, legal_automaton, plant_automaton,
                        reachable, validate_model, validate_profile)
 from .conditions import (CONDITIONS, Condition, Counterexample, Verdict,
-                         can_disable, can_enable, check, check_controllability,
-                         check_inf_obs_extended, default_frame,
+                         can_disable, can_enable, check, default_frame,
                          knowledge_lines, must_disable, must_enable)
 from .errors import (AlphabetMismatch, ControlConflict, EnumerationBound,
                      FormatError, InfobsError, InstanceTooLarge, ModelError,

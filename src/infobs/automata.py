@@ -62,10 +62,6 @@ class PlantSpec:
         """True when the event can physically occur at the state."""
         return (state, event) in self.delta
 
-    def legal(self, state: str, event: str) -> bool:
-        """True when the event is allowed by the specification at the state."""
-        return (state, event) in self.legal_transitions
-
 
 @dataclass(frozen=True)
 class SupervisionProfile:

@@ -1,6 +1,6 @@
 """Controllability and the family of epistemic observability conditions.
 
-All checkers share a vocabulary of event-indexed shorthand formulas:
+All conditions share a vocabulary of event-indexed shorthand formulas:
 
 * ``can_enable``   -- enabling the event here cannot violate the requirement;
 * ``can_disable``  -- disabling it here cannot violate the requirement;
@@ -11,17 +11,20 @@ All checkers share a vocabulary of event-indexed shorthand formulas:
 physical possibility, and ``must_enable`` implies possibility, both by
 construction of the valuation.
 
-The conditions differ in which knowledge lines they accept, which
-accessibility relation they read, and which worlds and events they quantify
-over; :data:`CONDITIONS` records these facts once per condition.  Verdicts
-carry a per-event default partition when they hold and a deterministic
-counterexample (shortest witnessing word, ties lexicographic) when they fail.
+Every condition has the same shape: at each world some knowledge covers the
+event, or the event's default action is safe there.  The conditions differ
+only in which knowledge covers a world, which defaults they may choose,
+which accessibility relation they read and which worlds and events they
+quantify over; :data:`CONDITIONS` records these facts once per condition and
+:func:`check` decides every row.  Verdicts carry a per-event default
+partition when they hold and a deterministic counterexample (shortest
+witnessing word, ties lexicographic) when they fail.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Literal, Mapping
+from typing import Callable, Literal, Mapping, Sequence
 
 from .automata import PlantSpec, SupervisionProfile, Word
 from .errors import ModelError
@@ -58,10 +61,11 @@ class Counterexample:
     """Where and why a condition fails.
 
     ``world``/``string`` name the failing world by its shortest witnessing
-    word.  The extended checker reports a *pair* of uncovered worlds whose
-    requirements pull the event's default in opposite directions; the world
-    that must keep the event enabled is primary and the one that must keep it
-    disabled lands in ``conflict_world``/``conflict_string``.
+    word.  When a condition may choose between two defaults and neither is
+    safe, ``world`` is where the last one fails and ``conflict_world``/
+    ``conflict_string`` is where the first one does.  For the extended
+    condition (enable, then disable) that is an uncovered world that must
+    keep the event enabled and one that must keep it disabled.
     """
 
     event: str
@@ -76,9 +80,10 @@ class Verdict:
     """Outcome of one condition check.
 
     ``defaults`` is present exactly when the condition holds and maps every
-    controlled event to its default action; only the extended checker
-    computes a non-trivial partition, the others fill in their fixed
-    default.  ``counterexample`` is present exactly when the check fails.
+    controlled event to its default action: the first of the row's defaults
+    that is safe wherever the event is not covered (a controlled event the
+    check did not quantify over gets the row's first default).
+    ``counterexample`` is present exactly when the check fails.
     """
 
     condition: str
@@ -95,15 +100,19 @@ def default_frame(model: PlantSpec, profile: SupervisionProfile) -> KripkeFrame:
     return build_frame(build_composite(model, profile), model, profile)
 
 
-def _counterexample(frame: KripkeFrame, event: str, bad: int) -> Counterexample:
-    """The first world of the failing set ``bad``, in breadth-first order."""
-    w = frame.first(bad)
-    return Counterexample(event, w, frame.witness(w))
+def _counterexample(frame: KripkeFrame, event: str, failed: list[int]) -> Counterexample:
+    """The first world, in breadth-first order, where the last default
+    fails; with two defaults, paired with the first world where the first
+    one fails."""
+    w = frame.first(failed[-1])
+    if len(failed) == 1:
+        return Counterexample(event, w, frame.witness(w))
+    v = frame.first(failed[0])
+    return Counterexample(event, w, frame.witness(w), v, frame.witness(v))
 
 
 # ---------------------------------------------------------------------------
-# Extended inference-observability (arbitrarily many supervisors,
-# five-valued decisions, per-event default)
+# Covering knowledge
 
 def knowledge_lines(profile: SupervisionProfile, event: str, i: int
                     ) -> tuple[Formula, Formula, Formula, Formula]:
@@ -129,92 +138,37 @@ def _extended_lines(profile: SupervisionProfile, event: str) -> list[Formula]:
     return [or_all(lines) for lines in zip(*per_controller)]
 
 
-def check_inf_obs_extended(frame: KripkeFrame, model: PlantSpec,
-                           profile: SupervisionProfile,
-                           frozen_defaults: Mapping[str, FusedDecision] | None = None,
-                           ) -> Verdict:
-    """The weakest condition of the family.
-
-    For each controlled event, collect the legal worlds where all four
-    knowledge lines fail (there every supervisor abstains).  The event passes
-    when those uncovered worlds agree on a default: none of them forbids the
-    event (default enable) or none of them requires it (default disable).
-    With no uncovered world either default works and enable is chosen.
-
-    ``frozen_defaults`` re-checks against a fixed partition instead of
-    choosing one.
-    """
-    defaults: dict[str, FusedDecision] = {}
-    for ev in sorted(profile.sigma_c):
-        covered = 0
-        for line in _extended_lines(profile, ev):
-            covered |= frame.truth_set(line)
-        uncovered = frame.legal_bits & ~covered
-        # Outside ``d`` the requirement needs the event enabled, outside
-        # ``e`` it needs it disabled.
-        needs_enable = uncovered & ~frame.truth_set(can_disable(ev))
-        needs_disable = uncovered & ~frame.truth_set(can_enable(ev))
-        if needs_enable and needs_disable:
-            w, v = frame.first(needs_enable), frame.first(needs_disable)
-            ce = Counterexample(ev, w, frame.witness(w), v, frame.witness(v))
-            return Verdict("extended", False, counterexample=ce)
-        if frozen_defaults is not None:
-            chosen = frozen_defaults[ev]
-            bad = needs_disable if chosen is ENABLE else needs_enable
-            if bad:
-                return Verdict("extended", False,
-                               counterexample=_counterexample(frame, ev, bad))
-            defaults[ev] = chosen
-        else:
-            defaults[ev] = DISABLE if needs_disable else ENABLE
-    return Verdict("extended", True, defaults=defaults)
-
-
-# ---------------------------------------------------------------------------
-# Requirement formulas of the other conditions
-
-def _coupled_formula(profile: SupervisionProfile, event: str) -> Formula:
-    """One supervisor can certify another's knowledge, or enabling is safe."""
+def _coupled(profile: SupervisionProfile, event: str) -> list[Formula]:
+    """One supervisor can certify another's knowledge."""
     e = can_enable(event)
     controllers = profile.controllers(event)
-    modal = or_all(Know(i, Implies(Var(legal(event)), Know(j, e)))
-                   for i in controllers for j in controllers)
-    return Or(modal, e)
+    return [Know(i, Implies(Var(legal(event)), Know(j, e)))
+            for i in controllers for j in controllers]
 
 
-def _split_formula(profile: SupervisionProfile, event: str) -> Formula:
-    """Four-line variant with distinct supervisor pairs.
+def _split(profile: SupervisionProfile, event: str) -> list[Formula]:
+    """Per-pair variant over distinct supervisor pairs.
 
     Equivalent to the coupled form when at least two supervisors control the
     event; single-controller events fall back to the coupled form.
     """
     controllers = profile.controllers(event)
     if len(controllers) < 2:
-        return _coupled_formula(profile, event)
+        return _coupled(profile, event)
     e, d = can_enable(event), can_disable(event)
-    parts = []
-    for i in controllers:
-        for j in controllers:
-            if i == j:
-                continue
-            parts.append(or_all([
-                Know(i, e),
-                Know(i, d),
-                Know(i, Implies(Var(legal(event)), Know(j, e))),
-            ]))
-    return Or(or_all(parts), e)
+    return [or_all([Know(i, e), Know(i, d),
+                    Know(i, Implies(Var(legal(event)), Know(j, e)))])
+            for i in controllers for j in controllers if i != j]
 
 
-def _veto(profile: SupervisionProfile, event: str) -> Formula:
-    """Wherever the event must stay disabled, someone knows it can be."""
-    return Or(any_knows(profile.controllers(event), can_disable(event)),
-              can_enable(event))
+def _veto(profile: SupervisionProfile, event: str) -> list[Formula]:
+    """Someone knows the event can be disabled."""
+    return [Know(i, can_disable(event)) for i in profile.controllers(event)]
 
 
-def _approve(profile: SupervisionProfile, event: str) -> Formula:
-    """Wherever the event must stay enabled, someone knows it can be."""
-    return Or(any_knows(profile.controllers(event), can_enable(event)),
-              can_disable(event))
+def _approve(profile: SupervisionProfile, event: str) -> list[Formula]:
+    """Someone knows the event can be enabled."""
+    return [Know(i, can_enable(event)) for i in profile.controllers(event)]
 
 
 # ---------------------------------------------------------------------------
@@ -223,26 +177,30 @@ def _approve(profile: SupervisionProfile, event: str) -> Formula:
 WorldDomain = Literal["legal", "all"]
 EventDomain = Literal["controllable", "uncontrollable", "all"]
 
+#: Where each default action cannot violate the requirement.
+_SAFE: dict[FusedDecision, Callable[[str], Formula]] = {ENABLE: can_enable,
+                                                        DISABLE: can_disable}
+
 
 @dataclass(frozen=True)
 class Condition:
     """One row of the condition table.
 
-    A condition holds when ``requirement(profile, event)`` is true at every
-    world of the world domain, for every event of the event domain, read
-    under the relation.  The first entry of ``relations`` and of ``worlds``
-    is the default; the others are what a caller may ask for instead.  When
-    the condition holds every controlled event gets ``default``.  The
-    extended condition has no requirement: it chooses its defaults per event
-    and is decided by :func:`check_inf_obs_extended`.
+    A condition holds when, for every event of the event domain, every world
+    of the world domain is covered by one of the ``covered(profile, event)``
+    formulas, read under the relation, or lies where one default action is
+    safe: the first entry of ``defaults`` that is safe at every uncovered
+    world becomes the event's default.  The first entry of ``relations`` and
+    of ``worlds`` is the default; the others are what a caller may ask for
+    instead.
     """
 
     verdict: str
-    requirement: Callable[[SupervisionProfile, str], Formula] | None
+    covered: Callable[[SupervisionProfile, str], Sequence[Formula]]
+    defaults: tuple[FusedDecision, ...] = (ENABLE,)
     relations: tuple[Relation, ...] = ("partial",)
     worlds: tuple[WorldDomain, ...] = ("legal",)
     events: EventDomain = "controllable"
-    default: FusedDecision = ENABLE
 
     def domains(self, name: str, relation: Relation | None = None,
                 worlds: WorldDomain | None = None) -> tuple[Relation, WorldDomain]:
@@ -256,25 +214,25 @@ class Condition:
         return relation, worlds
 
 
-#: Controllability; the observability family from weakest (extended) to the
-#: corrected condition and its split form; the published legacy form, which
-#: reads the total relations over all worlds; and the co-observability
-#: variants, which restrict the decision set (``cp``: vote off or abstain,
-#: default enable; ``da``: the mirror image) and, when strong, read the
-#: total relations.
+#: Controllability (nothing covers an uncontrollable event, so it must be
+#: safe to enable); the observability family from weakest (extended, which
+#: picks either default per event) to the corrected condition and its split
+#: form; the published legacy form, which reads the total relations over
+#: all worlds; and the co-observability variants, which restrict the
+#: decision set (``cp``: vote off or abstain, default enable; ``da``: the
+#: mirror image) and, when strong, read the total relations.
 CONDITIONS: dict[str, Condition] = {
-    "controllability": Condition("controllability",
-                                 lambda profile, ev: can_enable(ev),
+    "controllability": Condition("controllability", lambda profile, ev: (),
                                  events="uncontrollable"),
-    "extended": Condition("extended", None),
-    "corrected": Condition("corrected", _coupled_formula),
-    "split": Condition("corrected-split", _split_formula),
-    "legacy": Condition("legacy", _coupled_formula, ("total", "partial"),
-                        ("all", "legal")),
+    "extended": Condition("extended", _extended_lines, (ENABLE, DISABLE)),
+    "corrected": Condition("corrected", _coupled),
+    "split": Condition("corrected-split", _split),
+    "legacy": Condition("legacy", _coupled, relations=("total", "partial"),
+                        worlds=("all", "legal")),
     "cp": Condition("cp", _veto),
-    "da": Condition("da", _approve, default=DISABLE),
-    "strong_cp": Condition("strong_cp", _veto, ("total",)),
-    "strong_da": Condition("strong_da", _approve, ("total",), default=DISABLE),
+    "da": Condition("da", _approve, (DISABLE,)),
+    "strong_cp": Condition("strong_cp", _veto, relations=("total",)),
+    "strong_da": Condition("strong_da", _approve, (DISABLE,), ("total",)),
 }
 
 
@@ -294,29 +252,26 @@ def check(frame: KripkeFrame, model: PlantSpec, profile: SupervisionProfile,
     if row is None:
         raise ModelError(f"unknown condition {which!r}")
     relation, worlds = row.domains(which, relation, worlds)
-    if row.requirement is None:
-        return check_inf_obs_extended(frame, model, profile)
     pool = {"controllable": profile.sigma_c, "all": model.events,
             "uncontrollable": profile.sigma_uc(model.events)}.get(events or row.events)
     if pool is None:
         raise ModelError(f"unknown event domain {events!r}")
     domain = frame.legal_bits if worlds == "legal" else frame.all_bits
+    chosen: dict[str, FusedDecision] = {}
     for ev in sorted(pool):
-        bad = domain & ~frame.truth_set(row.requirement(profile, ev), relation)
-        if bad:
+        uncovered = domain
+        for phi in row.covered(profile, ev):
+            uncovered &= ~frame.truth_set(phi, relation)
+        failed = []
+        for default in row.defaults:
+            bad = uncovered & ~frame.truth_set(_SAFE[default](ev), relation)
+            if not bad:
+                chosen[ev] = default
+                break
+            failed.append(bad)
+        else:
             return Verdict(row.verdict, False,
-                           counterexample=_counterexample(frame, ev, bad))
+                           counterexample=_counterexample(frame, ev, failed))
     return Verdict(row.verdict, True,
-                   defaults={ev: row.default for ev in sorted(profile.sigma_c)})
-
-
-def check_controllability(model: PlantSpec, profile: SupervisionProfile,
-                          frame: KripkeFrame | None = None) -> Verdict:
-    """Uncontrollable events may never leave the legal behaviour.
-
-    Holds iff every uncontrollable event that is physically possible at a
-    legal world is also legal there.
-    """
-    if frame is None:
-        frame = default_frame(model, profile)
-    return check(frame, model, profile, "controllability")
+                   defaults={ev: chosen.get(ev, row.defaults[0])
+                             for ev in sorted(profile.sigma_c)})

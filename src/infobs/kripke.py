@@ -46,12 +46,6 @@ class Prop:
     kind: str
     event: str | None = None
 
-    def pretty(self) -> str:
-        if self.kind == "state_legal":
-            return "legal-state"
-        mark = "G" if self.kind == "possible" else "E"
-        return f"{self.event}_{mark}"
-
 
 def possible(event: str) -> Prop:
     return Prop("possible", event)

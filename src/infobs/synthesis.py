@@ -19,8 +19,7 @@ from typing import Mapping
 
 from .automata import (Automaton, EquivalenceVerdict, PlantSpec,
                        SupervisionProfile, dfa_equivalent, legal_automaton)
-from .conditions import (check_controllability, check_inf_obs_extended,
-                         default_frame, knowledge_lines)
+from .conditions import check, default_frame, knowledge_lines
 from .errors import (ModelError, NotControllable, NotInferenceObservable,
                      PolicyAmbiguity)
 from .fusion import ABSTAIN, ENABLE, OFF, ON, WOFF, WON, ControlDecision, \
@@ -162,10 +161,10 @@ def synthesize(model: PlantSpec, profile: SupervisionProfile,
     """
     if frame is None:
         frame = default_frame(model, profile)
-    controllability = check_controllability(model, profile, frame)
+    controllability = check(frame, model, profile, "controllability")
     if not controllability.holds:
         raise NotControllable(controllability)
-    observability = check_inf_obs_extended(frame, model, profile)
+    observability = check(frame, model, profile, "extended")
     if not observability.holds:
         raise NotInferenceObservable(observability)
     supervisors = []

@@ -132,7 +132,7 @@ def tiny_instances():
     out = []
     negatives = 0
     attempts = 0
-    from infobs import check_controllability, check_inf_obs_extended, project
+    from infobs import check, project
     while (len(out) < 50 or negatives < 8) and attempts < 20000:
         attempts += 1
         model, profile = random_instance(
@@ -148,8 +148,8 @@ def tiny_instances():
         depth = len(model.states) + 1
         if any(len(frame.witness(w)) > depth for w in frame.worlds):
             continue
-        holds = (check_controllability(model, profile, frame).holds
-                 and check_inf_obs_extended(frame, model, profile).holds)
+        holds = (check(frame, model, profile, "controllability").holds
+                 and check(frame, model, profile, "extended").holds)
         negatives += (not holds)
         out.append((model, profile, frame, depth, holds))
     assert len(out) >= 50 and negatives >= 8

@@ -10,8 +10,7 @@ import time
 import pytest
 
 from infobs import (Automaton, DISABLE, ENABLE, OFF, ON, WOFF, WON, ABSTAIN,
-                    check, check_controllability, check_inf_obs_extended,
-                    closed_loop, default_frame,
+                    check, closed_loop, default_frame,
                     dfa_equivalent, exhaustive_supervisor_search, fuse,
                     fuse_legacy_pair, guard_transform, legal_automaton,
                     oracle_solves, parse_model, serialize_model, synthesize,
@@ -60,7 +59,7 @@ def test_criterion_02_legacy_gap_phenomenon(legacy_gap, legacy_gap_frame):
     assert not legacy.holds
     assert legacy.counterexample.string == ("g", "a")
     assert check(frame, model, profile, "corrected").holds
-    assert check_controllability(model, profile, frame).holds
+    assert check(frame, model, profile, "controllability").holds
     result = synthesize(model, profile, frame)
     loop = closed_loop(model, profile, result)
     expected = Automaton(model.events, 0, {(0, "a"): 1, (1, "g"): 2})
@@ -81,15 +80,14 @@ def test_criterion_03_conditional_bets_separation(conditional_bets,
     cp = check(frame, model, profile, "cp")
     assert not cp.holds and cp.counterexample.string == ()
     assert check(frame, model, profile, "corrected").holds
-    assert check_inf_obs_extended(frame, model, profile).holds
+    assert check(frame, model, profile, "extended").holds
     # The approve-only failure lives on the legality mirror of the fixture.
     mirror_model, mirror_profile = conditional_bets_mirror
     da = check(mirror_frame, mirror_model, mirror_profile, "da")
     assert not da.holds and da.counterexample.string == ()
     assert check(mirror_frame, mirror_model,
                  mirror_profile, "corrected").holds
-    assert check_inf_obs_extended(mirror_frame, mirror_model,
-                                  mirror_profile).holds
+    assert check(mirror_frame, mirror_model, mirror_profile, "extended").holds
 
     result = synthesize(model, profile, frame)
     initial_estimates = [s.observer.initial for s in result.supervisors]
@@ -125,7 +123,7 @@ def test_criterion_04_coupled_split_equivalence(n2_instances):
 def test_criterion_05_controllability_separation(n2_instances):
     disagreements = 0
     for model, profile, frame in n2_instances:
-        left = (check_controllability(model, profile, frame).holds
+        left = (check(frame, model, profile, "controllability").holds
                 and check(frame, model, profile, "corrected").holds)
         right = check(frame, model, profile, "legacy",
                       worlds="legal", events="all",
@@ -189,7 +187,7 @@ def test_criterion_09_weakening_chain(n2_instances, conditional_bets,
                                       legacy_gap, legacy_gap_frame):
     violations = 0
     for model, profile, frame in n2_instances:
-        extended = check_inf_obs_extended(frame, model, profile).holds
+        extended = check(frame, model, profile, "extended").holds
         corrected = check(frame, model, profile, "corrected").holds
         cp = check(frame, model, profile, "cp").holds
         da = check(frame, model, profile, "da").holds
@@ -204,14 +202,14 @@ def test_criterion_09_weakening_chain(n2_instances, conditional_bets,
     assert violations == 0
     # Strictness witnesses from the fixtures of criteria 2 and 3.
     model, profile = conditional_bets
-    assert check_inf_obs_extended(conditional_bets_frame, model, profile).holds
+    assert check(conditional_bets_frame, model, profile, "extended").holds
     assert not check(conditional_bets_frame, model, profile,
                      "cp").holds
     model, profile = conditional_bets_mirror
-    assert check_inf_obs_extended(mirror_frame, model, profile).holds
+    assert check(mirror_frame, model, profile, "extended").holds
     assert not check(mirror_frame, model, profile, "da").holds
     model, profile = legacy_gap
-    assert check_inf_obs_extended(legacy_gap_frame, model, profile).holds
+    assert check(legacy_gap_frame, model, profile, "extended").holds
     assert not check(legacy_gap_frame, model, profile, "legacy",
                      worlds="all", relation="total").holds
     report(9, "weakening chain with strict witnesses")
@@ -237,7 +235,7 @@ def test_criterion_10_round_trip_and_deterministic_reporting():
         model, profile = parse_model(
             (MODELS / "diamond_unsolvable.des").read_text())
         frame = default_frame(model, profile)
-        extended = check_inf_obs_extended(frame, model, profile)
+        extended = check(frame, model, profile, "extended")
         out.append((extended.counterexample.string,
                     extended.counterexample.conflict_string))
         model, profile = parse_model(

@@ -3,9 +3,9 @@
 import pytest
 
 from infobs import (DISABLE, ENABLE, PlantSpec, SupervisionProfile,
-                    can_enable, check, check_controllability,
-                    check_inf_obs_extended, default_frame, must_disable,
+                    can_enable, check, default_frame, must_disable,
                     must_enable)
+from infobs.conditions import _extended_lines
 from infobs.errors import ModelError
 from infobs.kripke import And, Not, Var, possible
 from infobs.randgen import instance_stream
@@ -52,18 +52,20 @@ class TestShorthand:
 class TestControllability:
     def test_gap_model_is_controllable(self, legacy_gap, legacy_gap_frame):
         model, profile = legacy_gap
-        assert check_controllability(model, profile, legacy_gap_frame).holds
+        assert check(legacy_gap_frame, model, profile, "controllability").holds
 
     def test_everything_legal_is_controllable(self):
         for model, profile in instance_stream(101, 15, legal_state_bias=1.1):
-            assert check_controllability(model, profile).holds
+            frame = default_frame(model, profile)
+            assert check(frame, model, profile, "controllability").holds
 
     def test_uncontrollable_escape_is_reported_at_the_initial_world(self, legacy_gap):
         model, profile = legacy_gap
         weakened = PlantSpec(model.events, model.states, model.initial,
                              model.delta, model.legal_states,
                              model.legal_transitions - {("q0", "a")})
-        verdict = check_controllability(weakened, profile)
+        verdict = check(default_frame(weakened, profile), weakened, profile,
+                        "controllability")
         assert not verdict.holds
         ce = verdict.counterexample
         assert (ce.event, ce.string, ce.world.plant) == ("a", (), "q0")
@@ -73,14 +75,13 @@ class TestExtended:
     def test_bets_model_holds_with_enable_default(self, conditional_bets,
                                                    conditional_bets_frame):
         model, profile = conditional_bets
-        verdict = check_inf_obs_extended(conditional_bets_frame, model, profile)
+        verdict = check(conditional_bets_frame, model, profile, "extended")
         assert verdict.holds
         assert verdict.defaults == {"g": ENABLE}
 
     def test_blind_chain_fails_with_a_conflicting_world_pair(self):
         model, profile = blind_two_step_chain()
-        verdict = check_inf_obs_extended(default_frame(model, profile),
-                                         model, profile)
+        verdict = check(default_frame(model, profile), model, profile, "extended")
         assert not verdict.holds
         ce = verdict.counterexample
         assert ce.event == "g"
@@ -91,29 +92,22 @@ class TestExtended:
         for model, profile_ignored in instance_stream(107, 30):
             profile = SupervisionProfile((model.events,), (model.events,))
             frame = default_frame(model, profile)
-            if check_controllability(model, profile, frame).holds:
-                assert check_inf_obs_extended(frame, model, profile).holds
-
-    def test_frozen_defaults_are_accepted_back(self, n2_instances):
-        for model, profile, frame in n2_instances:
-            verdict = check_inf_obs_extended(frame, model, profile)
-            if verdict.holds:
-                again = check_inf_obs_extended(frame, model, profile,
-                                               frozen_defaults=verdict.defaults)
-                assert again.holds and again.defaults == verdict.defaults
+            if check(frame, model, profile, "controllability").holds:
+                assert check(frame, model, profile, "extended").holds
 
     def test_forced_default_pins_the_partition(self, forced_disable):
         # After ab every supervisor abstains while g must stay blocked, so
         # the default for g is not a free choice here.
         model, profile = forced_disable
         frame = default_frame(model, profile)
-        verdict = check_inf_obs_extended(frame, model, profile)
+        verdict = check(frame, model, profile, "extended")
         assert verdict.holds
         assert verdict.defaults == {"g": DISABLE}
-        refused = check_inf_obs_extended(frame, model, profile,
-                                         frozen_defaults={"g": ENABLE})
-        assert not refused.holds
-        assert refused.counterexample.string == ("a", "b")
+        uncovered = frame.legal_bits
+        for line in _extended_lines(profile, "g"):
+            uncovered &= ~frame.truth_set(line)
+        enable_fails = uncovered & ~frame.truth_set(can_enable("g"))
+        assert frame.witness(frame.first(enable_fails)) == ("a", "b")
 
 
 class TestCorrected:
@@ -170,7 +164,7 @@ class TestLegacy:
         # controllability plus the condition over controlled events.
         disagreements = 0
         for model, profile, frame in n2_instances:
-            left = (check_controllability(model, profile, frame).holds
+            left = (check(frame, model, profile, "controllability").holds
                     and check(frame, model, profile, "corrected").holds)
             right = check(frame, model, profile, "legacy",
                           worlds="legal",
@@ -226,7 +220,7 @@ class TestWeakeningChain:
     def test_chain_on_the_instance_set(self, n2_instances):
         violations = 0
         for model, profile, frame in n2_instances:
-            extended = check_inf_obs_extended(frame, model, profile).holds
+            extended = check(frame, model, profile, "extended").holds
             corrected = check(frame, model, profile, "corrected").holds
             cp = check(frame, model, profile, "cp").holds
             da = check(frame, model, profile, "da").holds
@@ -243,7 +237,7 @@ class TestWeakeningChain:
     def test_extended_is_strictly_weaker_than_every_other_condition(self, forced_disable):
         model, profile = forced_disable
         frame = default_frame(model, profile)
-        assert check_inf_obs_extended(frame, model, profile).holds
+        assert check(frame, model, profile, "extended").holds
         assert not check(frame, model, profile, "corrected").holds
         assert not check(frame, model, profile, "cp").holds
         assert not check(frame, model, profile, "da").holds
@@ -252,16 +246,15 @@ class TestWeakeningChain:
                                   legacy_gap, legacy_gap_frame,
                                   conditional_bets_mirror, mirror_frame):
         model, profile = conditional_bets
-        assert check_inf_obs_extended(conditional_bets_frame, model,
-                                      profile).holds
+        assert check(conditional_bets_frame, model, profile, "extended").holds
         assert not check(conditional_bets_frame, model,
                          profile, "cp").holds
         model, profile = conditional_bets_mirror
-        assert check_inf_obs_extended(mirror_frame, model, profile).holds
+        assert check(mirror_frame, model, profile, "extended").holds
         assert not check(mirror_frame, model, profile,
                          "da").holds
         model, profile = legacy_gap
-        assert check_inf_obs_extended(legacy_gap_frame, model, profile).holds
+        assert check(legacy_gap_frame, model, profile, "extended").holds
         assert not check(legacy_gap_frame, model, profile, "legacy",
                          worlds="all",
                          relation="total").holds
@@ -271,8 +264,8 @@ class TestVerdictShape:
     def test_counterexample_and_defaults_presence(self, n2_instances):
         for model, profile, frame in n2_instances[:40]:
             verdicts = [
-                check_controllability(model, profile, frame),
-                check_inf_obs_extended(frame, model, profile),
+                check(frame, model, profile, "controllability"),
+                check(frame, model, profile, "extended"),
                 check(frame, model, profile, "corrected"),
                 check(frame, model, profile, "cp"),
                 check(frame, model, profile, "legacy"),
@@ -292,23 +285,17 @@ class TestConditionTable:
                               ("corrected", {"relation": "total"}),
                               ("strong_cp", {"relation": "partial"}),
                               ("extended", {"worlds": "all"}),
+                              ("extended", {"events": "nonsense"}),
                               ("legacy", {"events": "nonsense"})]:
             with pytest.raises(ModelError):
                 check(legacy_gap_frame, model, profile, which, **kwargs)
-
-    def test_extended_row_is_the_extended_checker(self, diamond, diamond_frame):
-        model, profile = diamond
-        assert (check(diamond_frame, model, profile, "extended")
-                == check_inf_obs_extended(diamond_frame, model, profile))
 
 
 class TestDeterminism:
     def test_counterexamples_are_reproducible(self, diamond):
         model, profile = diamond
-        first = check_inf_obs_extended(default_frame(model, profile),
-                                       model, profile)
-        second = check_inf_obs_extended(default_frame(model, profile),
-                                        model, profile)
+        first = check(default_frame(model, profile), model, profile, "extended")
+        second = check(default_frame(model, profile), model, profile, "extended")
         assert first.counterexample == second.counterexample
         assert first.counterexample.string == ("a",)
         assert first.counterexample.conflict_string == ()

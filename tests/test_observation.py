@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from infobs import (SupervisionProfile, check_inf_obs_extended, closed_loop,
+from infobs import (SupervisionProfile, check, closed_loop,
                     compose, default_frame, dfa_equivalent, load_supervisors,
                     plant_automaton, project, reachable, save_supervisors,
                     synthesis)
@@ -174,7 +174,7 @@ class TestComposeAgainstTheReference:
     def test_a_check_does_not_build_the_world_keyed_delta(self, legacy_gap):
         model, profile = legacy_gap
         frame = default_frame(model, profile)
-        check_inf_obs_extended(frame, model, profile)
+        check(frame, model, profile, "extended")
         composite = frame.composite
         assert "delta" not in vars(composite)
         assert composite.automaton().delta is composite.delta

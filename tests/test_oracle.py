@@ -3,8 +3,7 @@
 import pytest
 
 from infobs import (ABSTAIN, DISABLE, ENABLE, ON, PlantSpec,
-                    SupervisionProfile, check, check_controllability,
-                    check_inf_obs_extended, closed_loop,
+                    SupervisionProfile, check, closed_loop,
                     dfa_equivalent, exhaustive_supervisor_search,
                     oracle_condition, oracle_solves, project, synthesize)
 from infobs.errors import EnumerationBound, InstanceTooLarge
@@ -90,7 +89,7 @@ class TestOracleCondition:
         mismatches = 0
         for model, profile, frame in [*n2_instances, *n3_instances]:
             checks = {
-                "extended": check_inf_obs_extended(frame, model, profile).holds,
+                "extended": check(frame, model, profile, "extended").holds,
                 "corrected": check(frame, model, profile, "corrected").holds,
                 "split": check(frame, model, profile,
                                "split").holds,
@@ -100,8 +99,8 @@ class TestOracleCondition:
                                    "strong_cp").holds,
                 "strong_da": check(frame, model, profile,
                                    "strong_da").holds,
-                "controllability": check_controllability(model, profile,
-                                                         frame).holds,
+                "controllability": check(frame, model, profile,
+                                         "controllability").holds,
             }
             for which, expected in checks.items():
                 if oracle_condition(model, profile, which) != expected:
