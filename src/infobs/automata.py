@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Iterable, Iterator, Mapping
+from typing import Any, Collection, Iterable, Iterator, Mapping
 
 from .errors import AlphabetMismatch, EnumerationBound, ModelError
 
@@ -52,7 +52,8 @@ class PlantSpec:
 
     @cached_property
     def successors(self) -> dict[str, dict[str, str]]:
-        """``event -> {state: successor}``, one entry per event of the model."""
+        """``event -> {state: successor}``, one entry per event of the model;
+        :func:`~infobs.modelfile.parse_model` fills it as it checks ``delta``."""
         table: dict[str, dict[str, str]] = {ev: {} for ev in self.events}
         for (src, ev), dst in self.delta.items():
             table.setdefault(ev, {})[src] = dst
@@ -146,18 +147,26 @@ def reachable(model: PlantSpec, legal_only: bool = False) -> frozenset[str]:
     With ``legal_only`` only legal transitions are followed, which yields the
     state set of the legal subautomaton's accessible part.
     """
-    moves = model.legal_transitions if legal_only else model.delta.keys()
-    successors: dict[str, list[str]] = {}
-    for (src, ev) in moves:
-        successors.setdefault(src, []).append(model.delta[(src, ev)])
-    seen = {model.initial}
-    queue = deque([model.initial])
-    while queue:
-        for dst in successors.get(queue.popleft(), ()):
-            if dst not in seen:
-                seen.add(dst)
-                queue.append(dst)
-    return frozenset(seen)
+    rows = model.successors.values()
+    if legal_only:
+        rows = [{q: dst for q, dst in row.items() if (q, ev) in model.legal_transitions}
+                for ev, row in model.successors.items()]
+    return frozenset(closure({model.initial}, rows))
+
+
+def closure(seed: Iterable[str], rows: Collection[Mapping[str, str]]) -> set[str]:
+    """``seed`` and every state reached from it along the moves of ``rows``,
+    each a ``state -> successor`` table; one pass per breadth-first level."""
+    seen = set(seed)
+    frontier = seen
+    while frontier:
+        reached: set[str | None] = set()
+        for row in rows:
+            reached.update(map(row.get, frontier))
+        reached.discard(None)
+        frontier = reached - seen
+        seen |= frontier
+    return seen
 
 
 def walk_words(model: PlantSpec, k: int,

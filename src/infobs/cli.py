@@ -283,7 +283,7 @@ def main(argv=None) -> int:
     except InfobsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except OSError as exc:  # a missing input or an unwritable output path
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

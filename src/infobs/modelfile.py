@@ -53,21 +53,40 @@ def parse_model(text: str) -> tuple[PlantSpec, SupervisionProfile]:
     n: int | None = None
     events: dict[str, tuple[frozenset[int], frozenset[int], int]] = {}
     states: dict[str, tuple[bool, bool, int]] = {}  # name -> (init, legal, line)
-    transitions: dict[tuple[str, str], tuple[str, bool, int]] = {}
+    # Transitions go straight into delta; trans_lines holds their lines.
+    delta: dict[tuple[str, str], str] = {}
+    trans_lines: list[int] = []
+    legal_transitions: set[tuple[str, str]] = set()
     pending_events: list[tuple[str, str, str, int]] = []
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        tokens = (raw.split("#", 1)[0] if "#" in raw else raw).split()
+        if not tokens:
             continue
-        tokens = line.split()
-        keyword, args = tokens[0], tokens[1:]
-        if keyword == "supervisors":
+        keyword = tokens[0]
+        # Transitions are most of a model file, so they are tested first.
+        if keyword == "trans":
+            if len(tokens) not in (4, 5):
+                raise FormatError("trans needs: src event dst [legal]", lineno)
+            src, ev, dst = tokens[1], tokens[2], tokens[3]
+            legal = len(tokens) == 5
+            if legal and tokens[4] != "legal":
+                raise FormatError(f"unknown transition option {tokens[4]!r}", lineno)
+            key = (src, ev)
+            if key in delta:
+                raise FormatError(
+                    f"duplicate transition from {src!r} on {ev!r}"
+                    " (the plant must stay deterministic)", lineno)
+            delta[key] = dst
+            trans_lines.append(lineno)
+            if legal:
+                legal_transitions.add(key)
+        elif keyword == "supervisors":
             if n is not None:
                 raise FormatError("duplicate supervisors directive", lineno)
             # isdecimal, unlike isdigit, admits only digits int() reads; the
             # length test keeps int() off digit strings too long to convert.
-            count = args[0].lstrip("0") if len(args) == 1 and args[0].isdecimal() else ""
+            count = tokens[1].lstrip("0") if len(tokens) == 2 and tokens[1].isdecimal() else ""
             if not count:
                 raise FormatError("supervisors needs one positive count", lineno)
             if len(count) > len(str(MAX_SUPERVISORS)) or int(count) > MAX_SUPERVISORS:
@@ -75,44 +94,30 @@ def parse_model(text: str) -> tuple[PlantSpec, SupervisionProfile]:
                     f"supervisors count exceeds the ceiling of {MAX_SUPERVISORS}", lineno)
             n = int(count)
         elif keyword == "event":
-            if not args:
+            if len(tokens) == 1:
                 raise FormatError("event needs a name", lineno)
             obs_spec = ctrl_spec = None
-            for extra in args[1:]:
+            for extra in tokens[2:]:
                 if extra.startswith("obs=") and obs_spec is None:
                     obs_spec = extra[4:]
                 elif extra.startswith("ctrl=") and ctrl_spec is None:
                     ctrl_spec = extra[5:]
                 else:
                     raise FormatError(f"unknown event option {extra!r}", lineno)
-            pending_events.append((args[0], obs_spec, ctrl_spec, lineno))
+            pending_events.append((tokens[1], obs_spec, ctrl_spec, lineno))
         elif keyword == "state":
-            if not args:
+            if len(tokens) == 1:
                 raise FormatError("state needs a name", lineno)
-            name = args[0]
+            name = tokens[1]
             if not _NAME.match(name):
                 raise FormatError(f"bad state name {name!r}", lineno)
             if name in states:
                 raise FormatError(f"duplicate state {name!r}", lineno)
-            flags = set(args[1:])
+            flags = set(tokens[2:])
             unknown = flags - {"init", "legal"}
             if unknown:
                 raise FormatError(f"unknown state option {unknown.pop()!r}", lineno)
             states[name] = ("init" in flags, "legal" in flags, lineno)
-        elif keyword == "trans":
-            if len(args) not in (3, 4):
-                raise FormatError("trans needs: src event dst [legal]", lineno)
-            src, ev, dst = args[:3]
-            legal = False
-            if len(args) == 4:
-                if args[3] != "legal":
-                    raise FormatError(f"unknown transition option {args[3]!r}", lineno)
-                legal = True
-            if (src, ev) in transitions:
-                raise FormatError(
-                    f"duplicate transition from {src!r} on {ev!r}"
-                    " (the plant must stay deterministic)", lineno)
-            transitions[(src, ev)] = (dst, legal, lineno)
         else:
             raise FormatError(f"unknown directive {keyword!r}", lineno)
 
@@ -143,21 +148,20 @@ def parse_model(text: str) -> tuple[PlantSpec, SupervisionProfile]:
         raise FormatError(f"initial state {initial!r} must be legal",
                           states[initial][2])
 
-    delta = {}
-    legal_transitions = set()
-    for (src, ev), (dst, legal, lineno) in transitions.items():
-        for endpoint in (src, dst):
-            if endpoint not in states:
-                raise FormatError(f"undefined state {endpoint!r}", lineno)
-        if ev not in events:
+    successors: dict[str, dict[str, str]] = {ev: {} for ev in events}
+    for (key, dst), lineno in zip(delta.items(), trans_lines):
+        src, ev = key
+        if src not in states or dst not in states:
+            undefined = src if src not in states else dst
+            raise FormatError(f"undefined state {undefined!r}", lineno)
+        row = successors.get(ev)
+        if row is None:
             raise FormatError(f"undefined event {ev!r}", lineno)
-        delta[(src, ev)] = dst
-        if legal:
-            if not (states[src][1] and states[dst][1]):
-                raise FormatError(
-                    f"legal transition {src} -{ev}-> {dst} must run between"
-                    " legal states", lineno)
-            legal_transitions.add((src, ev))
+        row[src] = dst
+        if key in legal_transitions and not (states[src][1] and states[dst][1]):
+            raise FormatError(
+                f"legal transition {src} -{ev}-> {dst} must run between"
+                " legal states", lineno)
 
     model = PlantSpec(
         events=frozenset(events),
@@ -167,6 +171,7 @@ def parse_model(text: str) -> tuple[PlantSpec, SupervisionProfile]:
         legal_states=frozenset(name for name, (_i, lgl, _ln) in states.items() if lgl),
         legal_transitions=frozenset(legal_transitions),
     )
+    model.__dict__["successors"] = successors  # the cached property, not rebuilt
     unreachable = model.states - reachable(model)
     if unreachable:
         worst = min(unreachable, key=lambda s: states[s][2])
@@ -256,6 +261,8 @@ def save_supervisors(result: SynthesisResult, directory: str | Path) -> list[Pat
         path.write_text(json.dumps(supervisor_to_json(sup, result), indent=2) + "\n",
                         encoding="utf-8")
         written.append(path)
+    for stale in set(directory.glob("supervisor_*.json")).difference(written):
+        stale.unlink()  # left by an earlier save with more supervisors
     defaults_path = directory / "defaults.json"
     defaults_path.write_text(
         json.dumps({"defaults": {ev: dft.value

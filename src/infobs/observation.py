@@ -10,12 +10,12 @@ estimate; its worlds are the carriers of the epistemic structures built in
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Mapping, NamedTuple, Sequence
 
-from .automata import Automaton, PlantSpec, SupervisionProfile, Word
+from .automata import (Automaton, PlantSpec, SupervisionProfile, Word,
+                       closure)
 from .errors import ModelError
 
 Estimate = frozenset[str]
@@ -68,39 +68,28 @@ def project(model: PlantSpec, profile: SupervisionProfile, i: int) -> Observer:
         raise ModelError(f"no supervisor with index {i}")
     observable = profile.observable[i]
     moves = model.successors
-    silent: defaultdict[str, list[str]] = defaultdict(list)
-    for ev in model.events - observable:
-        for q, dst in moves[ev].items():
-            silent[q].append(dst)
-
-    def close(seed: set[str]) -> Estimate:
-        out = set(seed)
-        todo = list(seed)
-        for q in todo:  # grows while it is read
-            for dst in silent.get(q, ()):
-                if dst not in out:
-                    out.add(dst)
-                    todo.append(dst)
-        return frozenset(out)
-
-    initial = close({model.initial})
-    # Each estimate maps to its first stored object, so equal estimates are
-    # one object and lookups keyed on them compare by identity.
-    states = {initial: initial}
+    silent = [moves[ev] for ev in model.events - observable]
+    initial = frozenset(closure({model.initial}, silent))
+    # ``stored`` maps each estimate to its first stored object, so equal
+    # estimates are one object and lookups keyed on them compare by
+    # identity.  It also maps each step set to its closure, so each distinct
+    # step set is closed once; a step set equal to an estimate is closed.
+    stored = {initial: initial}
+    states = [initial]
     delta: dict[tuple[Estimate, str], Estimate] = {}
-    events = [(ev, moves.get(ev, {})) for ev in sorted(observable)]
-    queue = deque([initial])
-    while queue:
-        est = queue.popleft()
-        for ev, succ in events:
-            step = {succ[q] for q in est if q in succ}
-            if not step:
-                continue
-            target = close(step)
-            if target not in states:
-                states[target] = target
-                queue.append(target)
-            delta[(est, ev)] = states[target]
+    events = [(ev, moves.get(ev, {}).get) for ev in sorted(observable)]
+    for est in states:  # grows while it is read
+        for ev, step_from in events:
+            step = frozenset(map(step_from, est))  # None where ev is not possible
+            target = stored.get(step)
+            if target is None:
+                found = frozenset(closure(step - {None}, silent))
+                if not found:  # no state of est can take ev
+                    continue
+                target = stored[step] = stored.setdefault(found, found)
+                if target is found:
+                    states.append(found)
+            delta[(est, ev)] = target
     return Observer(i, observable, initial, frozenset(states), delta)
 
 
@@ -120,25 +109,34 @@ class Composite:
     """Reachable product of the plant with every observer.
 
     Only reachable worlds are materialized; ``worlds`` is in breadth-first
-    order (events expanded in name order), and ``witnesses`` maps each world
-    to its shortest generating word, ties broken lexicographically.  The
-    composite generates the same language as the plant.  ``observers`` are
-    the observers it was composed from, one per supervisor.  ``edges`` lists
-    every move as ``(source index, event, target index)`` into ``worlds``;
-    the world-keyed :attr:`delta` is built from it on first read.
+    order (events expanded in name order).  The composite generates the same
+    language as the plant.  ``observers`` are the observers it was composed
+    from, one per supervisor.  ``edges`` lists every move as ``(source
+    index, event, target index)`` into ``worlds``; the world-keyed
+    :attr:`delta` is built from it on first read, and so is
+    :attr:`witnesses`, which maps each world to its shortest generating
+    word, ties broken lexicographically.
     """
 
     events: frozenset[str]
     initial: World
     worlds: tuple[World, ...]
     edges: tuple[tuple[int, str, int], ...]
-    witnesses: Mapping[World, Word]
     observers: tuple[Observer, ...]
 
     @cached_property
     def delta(self) -> dict[tuple[World, str], World]:
         worlds = self.worlds
         return {(worlds[src], ev): worlds[dst] for src, ev, dst in self.edges}
+
+    @cached_property
+    def witnesses(self) -> dict[World, Word]:
+        # Worlds are numbered as the walk reaches them, each by its first edge.
+        words: list[Word] = [()]
+        for src, ev, dst in self.edges:
+            if dst == len(words):
+                words.append(words[src] + (ev,))
+        return dict(zip(self.worlds, words))
 
     def automaton(self) -> Automaton:
         return Automaton(self.events, self.initial, self.delta)
@@ -156,8 +154,9 @@ def compose(model: PlantSpec, observers: Sequence[Observer],
 
     The walk runs on ``(plant state, estimate id, ...)`` keys: each
     observer's estimates are numbered and its transitions turned into one
-    ``id -> id`` table per observable event (``None`` for an event it does
-    not observe), and a :class:`World` is built once, when first reached.
+    ``id -> id`` table per observable event, and each move steps only the
+    observers that see its event.  A :class:`World` is built once, when
+    first reached; its word is not kept, as the edges hold it.
     """
     if len(observers) < 1:
         raise ModelError("the composite needs at least one observer")
@@ -173,39 +172,38 @@ def compose(model: PlantSpec, observers: Sequence[Observer],
         estimates.append(list(ids))
         tables.append(table)
     succ = model.successors
-    plan = [(ev, succ[ev], [t.get(ev) for t in tables])
+    # Per event, the key position and id table of each observer seeing it.
+    plan = [(ev, succ[ev], [(j, t[ev]) for j, t in enumerate(tables, start=1)
+                            if ev in t])
             for ev in sorted(model.events)]
     initial = World(model.initial, tuple(o.initial for o in observers))
     keys = [(model.initial, *(0 for _ in observers))]
     index = {keys[0]: 0}
     worlds = [initial]
-    witnesses: dict[World, Word] = {initial: ()}
     edges: list[tuple[int, str, int]] = []
-    src = 0
-    while src < len(keys):
-        plant, *ids_at = keys[src]
+    for src, key in enumerate(keys):  # grows while it is read
+        plant = key[0]
         world = worlds[src]
         for ev, moves, steps in plan:
             dst = moves.get(plant)
             if dst is None or (enabled is not None and not enabled(world, ev)):
                 continue
-            nxt = [k if step is None else step.get(k)
-                   for step, k in zip(steps, ids_at)]
-            if None in nxt:
-                j = nxt.index(None)
-                raise observers[j].stuck(estimates[j][ids_at[j]], ev)
-            key = (dst, *nxt)
-            target = index.get(key)
+            nxt = list(key)
+            nxt[0] = dst
+            for j, step in steps:
+                k = step.get(key[j])
+                if k is None:
+                    raise observers[j - 1].stuck(estimates[j - 1][key[j]], ev)
+                nxt[j] = k
+            nxt = tuple(nxt)
+            target = index.get(nxt)
             if target is None:
-                target = index[key] = len(keys)
-                keys.append(key)
-                reached = World(dst, tuple(found[k] for found, k in zip(estimates, nxt)))
-                worlds.append(reached)
-                witnesses[reached] = witnesses[world] + (ev,)
+                target = index[nxt] = len(keys)
+                keys.append(nxt)
+                worlds.append(World(dst, tuple(map(list.__getitem__, estimates, nxt[1:]))))
             edges.append((src, ev, target))
-        src += 1
     return Composite(model.events, initial, tuple(worlds), tuple(edges),
-                     witnesses, tuple(observers))
+                     tuple(observers))
 
 
 def build_composite(model: PlantSpec, profile: SupervisionProfile) -> Composite:

@@ -11,7 +11,9 @@ import pytest
 from infobs import (And, Const, Implies, Know, Not, Or, PlantSpec,
                     SupervisionProfile, Var, any_knows, default_frame,
                     language_upto, legal, load_model, possible, synthesize)
-from infobs.errors import ModelError, SynthesisError
+from infobs.automata import validate_profile
+from infobs.errors import FormatError, ModelError, SynthesisError
+from infobs.modelfile import _NAME, MAX_SUPERVISORS, _parse_indices
 from infobs.observation import World
 from infobs.randgen import instance_stream, random_instance
 
@@ -198,6 +200,154 @@ def reference_compose(model: PlantSpec, observers, enabled=None):
                 witnesses[target] = witnesses[world] + (ev,)
                 queue.append(target)
     return initial, tuple(worlds), delta, witnesses
+
+
+def reference_parse_model(text: str) -> tuple[PlantSpec, SupervisionProfile]:
+    """The model file parser as it stood before it filled the successor
+    table itself: one pass over the lines into per-kind tables, then the
+    checks that need the whole file, in the same order and with the same
+    messages.  Reachability is its own walk over ``delta``.
+    """
+    n: int | None = None
+    events: dict[str, tuple[frozenset[int], frozenset[int], int]] = {}
+    states: dict[str, tuple[bool, bool, int]] = {}  # name -> (init, legal, line)
+    transitions: dict[tuple[str, str], tuple[str, bool, int]] = {}
+    pending_events: list[tuple[str, str, str, int]] = []
+
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        tokens = line.split()
+        keyword, args = tokens[0], tokens[1:]
+        if keyword == "supervisors":
+            if n is not None:
+                raise FormatError("duplicate supervisors directive", lineno)
+            # isdecimal, unlike isdigit, admits only digits int() reads; the
+            # length test keeps int() off digit strings too long to convert.
+            count = args[0].lstrip("0") if len(args) == 1 and args[0].isdecimal() else ""
+            if not count:
+                raise FormatError("supervisors needs one positive count", lineno)
+            if len(count) > len(str(MAX_SUPERVISORS)) or int(count) > MAX_SUPERVISORS:
+                raise FormatError(
+                    f"supervisors count exceeds the ceiling of {MAX_SUPERVISORS}", lineno)
+            n = int(count)
+        elif keyword == "event":
+            if not args:
+                raise FormatError("event needs a name", lineno)
+            obs_spec = ctrl_spec = None
+            for extra in args[1:]:
+                if extra.startswith("obs=") and obs_spec is None:
+                    obs_spec = extra[4:]
+                elif extra.startswith("ctrl=") and ctrl_spec is None:
+                    ctrl_spec = extra[5:]
+                else:
+                    raise FormatError(f"unknown event option {extra!r}", lineno)
+            pending_events.append((args[0], obs_spec, ctrl_spec, lineno))
+        elif keyword == "state":
+            if not args:
+                raise FormatError("state needs a name", lineno)
+            name = args[0]
+            if not _NAME.match(name):
+                raise FormatError(f"bad state name {name!r}", lineno)
+            if name in states:
+                raise FormatError(f"duplicate state {name!r}", lineno)
+            flags = set(args[1:])
+            unknown = flags - {"init", "legal"}
+            if unknown:
+                raise FormatError(f"unknown state option {unknown.pop()!r}", lineno)
+            states[name] = ("init" in flags, "legal" in flags, lineno)
+        elif keyword == "trans":
+            if len(args) not in (3, 4):
+                raise FormatError("trans needs: src event dst [legal]", lineno)
+            src, ev, dst = args[:3]
+            legal = False
+            if len(args) == 4:
+                if args[3] != "legal":
+                    raise FormatError(f"unknown transition option {args[3]!r}", lineno)
+                legal = True
+            if (src, ev) in transitions:
+                raise FormatError(
+                    f"duplicate transition from {src!r} on {ev!r}"
+                    " (the plant must stay deterministic)", lineno)
+            transitions[(src, ev)] = (dst, legal, lineno)
+        else:
+            raise FormatError(f"unknown directive {keyword!r}", lineno)
+
+    if n is None:
+        raise FormatError("missing supervisors directive", 1)
+
+    observable = [set() for _ in range(n)]
+    controllable = [set() for _ in range(n)]
+    for name, obs_spec, ctrl_spec, lineno in pending_events:
+        if not _NAME.match(name):
+            raise FormatError(f"bad event name {name!r}", lineno)
+        if name in events:
+            raise FormatError(f"duplicate event {name!r}", lineno)
+        obs = _parse_indices(obs_spec, n, lineno) if obs_spec else frozenset()
+        ctrl = _parse_indices(ctrl_spec, n, lineno) if ctrl_spec else frozenset()
+        events[name] = (obs, ctrl, lineno)
+        for i in obs:
+            observable[i].add(name)
+        for i in ctrl:
+            controllable[i].add(name)
+
+    initials = [name for name, (init, _lgl, _ln) in states.items() if init]
+    if len(initials) != 1:
+        raise FormatError(f"exactly one init state required, found {len(initials)}",
+                          1 if not initials else states[initials[-1]][2])
+    initial = initials[0]
+    if not states[initial][1]:
+        raise FormatError(f"initial state {initial!r} must be legal",
+                          states[initial][2])
+
+    delta = {}
+    legal_transitions = set()
+    for (src, ev), (dst, legal, lineno) in transitions.items():
+        for endpoint in (src, dst):
+            if endpoint not in states:
+                raise FormatError(f"undefined state {endpoint!r}", lineno)
+        if ev not in events:
+            raise FormatError(f"undefined event {ev!r}", lineno)
+        delta[(src, ev)] = dst
+        if legal:
+            if not (states[src][1] and states[dst][1]):
+                raise FormatError(
+                    f"legal transition {src} -{ev}-> {dst} must run between"
+                    " legal states", lineno)
+            legal_transitions.add((src, ev))
+
+    model = PlantSpec(
+        events=frozenset(events),
+        states=frozenset(states),
+        initial=initial,
+        delta=delta,
+        legal_states=frozenset(name for name, (_i, lgl, _ln) in states.items() if lgl),
+        legal_transitions=frozenset(legal_transitions),
+    )
+    unreachable = model.states - _reference_reachable(model)
+    if unreachable:
+        worst = min(unreachable, key=lambda s: states[s][2])
+        raise FormatError(f"state {worst!r} is unreachable from {initial!r}",
+                          states[worst][2])
+    profile = SupervisionProfile(tuple(frozenset(o) for o in observable),
+                                 tuple(frozenset(c) for c in controllable))
+    validate_profile(model, profile)
+    return model, profile
+
+
+def _reference_reachable(model: PlantSpec) -> frozenset[str]:
+    successors: dict[str, list[str]] = {}
+    for (src, ev), dst in model.delta.items():
+        successors.setdefault(src, []).append(dst)
+    seen = {model.initial}
+    queue = deque([model.initial])
+    while queue:
+        for dst in successors.get(queue.popleft(), ()):
+            if dst not in seen:
+                seen.add(dst)
+                queue.append(dst)
+    return frozenset(seen)
 
 
 def estimate_groups(model: PlantSpec, profile: SupervisionProfile, i: int,

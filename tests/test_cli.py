@@ -133,6 +133,25 @@ class TestSynthesizeVerify:
         assert "distinguishing word: g" in out
 
 
+    def test_resynthesis_removes_stale_supervisor_files(self, capsys, tmp_path):
+        # A three-supervisor solution first, then a two-supervisor one into
+        # the same directory: supervisor_3.json must not survive to make the
+        # directory disagree with the model.
+        three = tmp_path / "three.des"
+        three.write_text("supervisors 3\nevent a obs=1,2,3 ctrl=1\n"
+                         "state q0 init legal\nstate q1 legal\n"
+                         "trans q0 a q1 legal\n")
+        out_dir = tmp_path / "sup"
+        assert run(capsys, "synthesize", str(three), "-o", str(out_dir))[0] == 0
+        assert (out_dir / "supervisor_3.json").exists()
+        assert run(capsys, "synthesize", BETS, "-o", str(out_dir))[0] == 0
+        assert sorted(p.name for p in out_dir.iterdir()) == [
+            "defaults.json", "supervisor_1.json", "supervisor_2.json"]
+        code, out, err = run(capsys, "verify", BETS, "--supervisors", str(out_dir))
+        assert code == 0, err
+        assert "equals the legal language" in out
+
+
 class TestSimulateCommand:
     def test_simulate_refuses_unsolvable_models(self, capsys):
         code, out, _ = run(capsys, "simulate", DIAMOND)
@@ -345,6 +364,20 @@ class TestInputHardening:
         code, _, err = run(capsys, "verify", GAP, "--supervisors", str(sup_dir))
         assert code == 2
         assert "defaults.json" in err
+
+    @pytest.mark.parametrize("argv, target", [
+        (("synthesize", GAP, "-o"), "taken"),
+        (("synthesize", GAP, "-o"), "taken/sub"),
+        (("export-dot", GAP, "-o"), "."),
+    ], ids=["synthesize-onto-a-file", "synthesize-below-a-file",
+            "export-dot-onto-a-directory"])
+    def test_unwritable_output_path_exits_two(self, capsys, tmp_path, argv,
+                                              target):
+        # These raised FileExistsError, NotADirectoryError and
+        # IsADirectoryError with a traceback and exit 1.
+        (tmp_path / "taken").write_text("")
+        code, out, err = run(capsys, *argv, str(tmp_path / target))
+        assert code == 2 and not out and err.startswith("error: ")
 
     def test_non_utf8_model_file_exits_two(self, capsys, tmp_path):
         bad = tmp_path / "bad.des"

@@ -1,12 +1,17 @@
 """Property test of the model file parser over generated texts.
 
 Every text either parses or raises :class:`FormatError` naming a line, and
-whatever parses serializes to a fixed point of parse-then-serialize.  Each
+whatever parses serializes to a fixed point of parse-then-serialize.  The
+parser also agrees with ``reference_parse_model`` on every text, models and
+errors alike, and the successor table it fills equals the one a model
+rebuilds from ``delta``.  Each
 text is a valid model with a few generated lines inserted; those mix the
 format's own directives with near-misses (numbers ``int`` rejects, names
 with reserved characters, unknown options) and arbitrary text, so a fair
 share of the texts parse.
 """
+
+from dataclasses import replace
 
 import pytest
 
@@ -15,6 +20,8 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from infobs import parse_model, serialize_model  # noqa: E402
 from infobs.errors import FormatError  # noqa: E402
+
+from conftest import reference_parse_model  # noqa: E402
 
 NUMBERS = st.sampled_from(["1", "2", "3", "0", "01", "-1", "+1", "x",
                            "²", "٣", "1_0"])
@@ -78,3 +85,23 @@ def test_parse_or_refuse_with_a_line_and_round_trip(text):
     once = serialize_model(*parsed)
     assert parse_model(once) == parsed
     assert serialize_model(*parse_model(once)) == once
+
+
+def _outcome(parse, text):
+    """The parsed model and profile, or the error's message and line."""
+    try:
+        return parse(text)
+    except FormatError as exc:
+        return str(exc), exc.line
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(model_texts())
+def test_parse_matches_the_reference_and_fills_the_successor_table(text):
+    ours = _outcome(parse_model, text)
+    assert ours == _outcome(reference_parse_model, text)
+    if isinstance(ours[0], str):  # a FormatError
+        return
+    model = ours[0]
+    assert "successors" in vars(model)
+    assert model.successors == replace(model).successors

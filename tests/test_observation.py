@@ -178,3 +178,13 @@ class TestComposeAgainstTheReference:
         composite = frame.composite
         assert "delta" not in vars(composite)
         assert composite.automaton().delta is composite.delta
+
+    def test_a_holding_check_does_not_build_the_witnesses(self, legacy_gap):
+        model, profile = legacy_gap
+        frame = default_frame(model, profile)
+        assert check(frame, model, profile, "extended").holds
+        composite = frame.composite
+        assert "witnesses" not in vars(composite)
+        failed = check(frame, model, profile, "legacy")
+        assert not failed.holds
+        assert composite.witnesses[failed.counterexample.world] == ("g", "a")
