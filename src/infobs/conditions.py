@@ -103,12 +103,13 @@ def default_frame(model: PlantSpec, profile: SupervisionProfile) -> KripkeFrame:
 def _counterexample(frame: KripkeFrame, event: str, failed: list[int]) -> Counterexample:
     """The first world, in breadth-first order, where the last default
     fails; with two defaults, paired with the first world where the first
-    one fails."""
-    w = frame.first(failed[-1])
+    one fails.  Only these worlds are built; their words are read by number."""
+    composite, k = frame.composite, frame.lowest(failed[-1])
+    w, word = composite.world(k), composite.words[k]
     if len(failed) == 1:
-        return Counterexample(event, w, frame.witness(w))
-    v = frame.first(failed[0])
-    return Counterexample(event, w, frame.witness(w), v, frame.witness(v))
+        return Counterexample(event, w, word)
+    j = frame.lowest(failed[0])
+    return Counterexample(event, w, word, composite.world(j), composite.words[j])
 
 
 # ---------------------------------------------------------------------------

@@ -36,15 +36,14 @@ def _world_label(w: World) -> str:
 def composite_to_dot(composite: Composite, model: PlantSpec) -> str:
     """Composite graph with stacked component labels."""
     lines = ["digraph composite {", "  rankdir=LR;", '  node [shape=box];']
-    ids = {w: f"w{k}" for k, w in enumerate(composite.worlds)}
-    for w in composite.worlds:
+    for k, w in enumerate(composite.worlds):
         peripheries = 2 if w.plant in model.legal_states else 1
-        lines.append(f"  {ids[w]} [label={_quote(_world_label(w))}"
+        lines.append(f"  w{k} [label={_quote(_world_label(w))}"
                      f", peripheries={peripheries}];")
     lines.append(f"  __start [shape=point];")
-    lines.append(f"  __start -> {ids[composite.initial]};")
-    for (src, ev), dst in sorted(composite.delta.items(),
-                                 key=lambda kv: (ids[kv[0][0]], kv[0][1])):
-        lines.append(f"  {ids[src]} -> {ids[dst]} [label={_quote(ev)}];")
+    lines.append(f"  __start -> w0;")
+    moves = iter(composite.edges)  # ordered as the node names sort, then by event
+    for src, ev, dst in sorted(zip(moves, moves, moves), key=lambda m: (f"w{m[0]}", m[1])):
+        lines.append(f"  w{src} -> w{dst} [label={_quote(ev)}];")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -21,11 +21,12 @@ from __future__ import annotations
 from collections import defaultdict
 from collections.abc import Container, Mapping
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Literal
 
 from .automata import PlantSpec, SupervisionProfile
 from .errors import ModelError
-from .observation import Composite, Estimate, World
+from .observation import Composite, World
 
 Relation = Literal["partial", "total"]
 
@@ -192,8 +193,8 @@ def _guard(phi: Formula) -> Formula:
 
 def _mask(flags) -> int:
     """The bitset of the positions where ``flags`` (in world order) is true."""
-    text = "".join("1" if flag else "0" for flag in flags)
-    return int(text[::-1], 2) if text else 0
+    digits = bytes(flags)[::-1].translate(bytes.maketrans(b"\0\1", b"01"))
+    return int(digits, 2) if digits else 0
 
 
 def _bits(indices) -> int:
@@ -228,9 +229,7 @@ class KripkeFrame:
         self.composite = composite
         self.model = model
         self.profile = profile
-        self.worlds = composite.worlds
-        self._index = {w: k for k, w in enumerate(self.worlds)}
-        self.all_bits = (1 << len(self.worlds)) - 1
+        self.all_bits = (1 << len(composite.plants)) - 1
         legal: defaultdict[str, set[str]] = defaultdict(set)
         for q, ev in model.legal_transitions:
             legal[ev].add(q)
@@ -243,6 +242,14 @@ class KripkeFrame:
         self.legal_bits = self._prop_set(STATE_LEGAL)
 
     # -- structure ---------------------------------------------------------
+
+    @property
+    def worlds(self) -> tuple[World, ...]:
+        return self.composite.worlds
+
+    @cached_property
+    def _index(self) -> dict[World, int]:
+        return {w: k for k, w in enumerate(self.worlds)}
 
     def world_legal(self, w: World) -> bool:
         return w.plant in self.model.legal_states
@@ -261,9 +268,9 @@ class KripkeFrame:
     def witness(self, w: World):
         return self.composite.witnesses[w]
 
-    def first(self, bits: int) -> World:
-        """The first world of a nonempty set in breadth-first order."""
-        return self.worlds[(bits & -bits).bit_length() - 1]
+    def lowest(self, bits: int) -> int:
+        """The number of the first world of a nonempty set in breadth-first order."""
+        return (bits & -bits).bit_length() - 1
 
     # -- valuation ---------------------------------------------------------
 
@@ -278,7 +285,7 @@ class KripkeFrame:
             if by_event is None:
                 raise ModelError(f"unknown proposition kind {prop.kind!r}")
             states = by_event.get(prop.event, ())
-            found = self._props[key] = _mask(w.plant in states for w in self.worlds)
+            found = self._props[key] = _mask(map(states.__contains__, self.composite.plants))
         return found
 
     # -- evaluation --------------------------------------------------------
@@ -324,7 +331,7 @@ class KripkeFrame:
     def _classes_of(self, i: int, relation: Relation) -> list[int]:
         """Supervisor i's accessibility classes as bitsets.
 
-        The total classes group the worlds by their estimate for supervisor
+        The total classes group the worlds by their estimate id for supervisor
         i; the partial classes are their legal parts, the empty ones dropped.
         """
         key = (i, relation)
@@ -334,10 +341,10 @@ class KripkeFrame:
                 found = [legal for c in self._classes_of(i, "total")
                          if (legal := c & self.legal_bits)]
             else:
-                groups: dict[Estimate, list[int]] = {}
-                for k, w in enumerate(self.worlds):
-                    groups.setdefault(w.estimates[i], []).append(k)
-                found = [_bits(ks) for ks in groups.values()]
+                groups: list[list[int]] = [[] for _ in self.composite.estimates[i]]
+                for k, e in enumerate(self.composite.ids[i]):
+                    groups[e].append(k)
+                found = [_bits(ks) for ks in groups if ks]
             self._classes[key] = found
         return found
 

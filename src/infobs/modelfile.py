@@ -114,9 +114,9 @@ def parse_model(text: str) -> tuple[PlantSpec, SupervisionProfile]:
             if name in states:
                 raise FormatError(f"duplicate state {name!r}", lineno)
             flags = set(tokens[2:])
-            unknown = flags - {"init", "legal"}
-            if unknown:
-                raise FormatError(f"unknown state option {unknown.pop()!r}", lineno)
+            if not flags <= {"init", "legal"}:
+                unknown = next(f for f in tokens[2:] if f not in ("init", "legal"))
+                raise FormatError(f"unknown state option {unknown!r}", lineno)
             states[name] = ("init" in flags, "legal" in flags, lineno)
         else:
             raise FormatError(f"unknown directive {keyword!r}", lineno)

@@ -61,6 +61,17 @@ class Observer:
     def automaton(self) -> Automaton:
         return Automaton(self.observable, self.initial, dict(self.delta))
 
+    @cached_property
+    def numbered(self) -> tuple[list[Estimate], dict[str, dict[int, int]]]:
+        """Estimates by id in order of first appearance in ``delta`` (the
+        initial one 0), and an ``id -> id`` table per observable event."""
+        ids: dict[Estimate, int] = {self.initial: 0}
+        moves: dict[str, dict[int, int]] = {ev: {} for ev in self.observable}
+        for (est, ev), dst in self.delta.items():
+            if ev in moves:
+                moves[ev][ids.setdefault(est, len(ids))] = ids.setdefault(dst, len(ids))
+        return list(ids), moves
+
 
 def project(model: PlantSpec, profile: SupervisionProfile, i: int) -> Observer:
     """Subset construction over unobservable closures for supervisor ``i``."""
@@ -106,37 +117,54 @@ class World(NamedTuple):
 
 @dataclass(frozen=True)
 class Composite:
-    """Reachable product of the plant with every observer.
+    """Reachable product of the plant with every observer, as columns.
 
-    Only reachable worlds are materialized; ``worlds`` is in breadth-first
-    order (events expanded in name order).  The composite generates the same
-    language as the plant.  ``observers`` are the observers it was composed
-    from, one per supervisor.  ``edges`` lists every move as ``(source
-    index, event, target index)`` into ``worlds``; the world-keyed
-    :attr:`delta` is built from it on first read, and so is
-    :attr:`witnesses`, which maps each world to its shortest generating
-    word, ties broken lexicographically.
+    World k, in breadth-first order (events expanded in name order), is the
+    plant state ``plants[k]`` with estimate ``estimates[i][ids[i][k]]`` for
+    observer i; ``edges`` lists every move flat as ``source, event, target``
+    by world number.  The composite generates the plant's language, and
+    ``observers`` are the observers it was composed from.  :attr:`worlds`,
+    :attr:`delta`, :attr:`words` (shortest generating words, ties broken
+    lexicographically) and :attr:`witnesses` are built on first read.
     """
 
     events: frozenset[str]
-    initial: World
-    worlds: tuple[World, ...]
-    edges: tuple[tuple[int, str, int], ...]
+    plants: tuple[str, ...]
+    ids: tuple[tuple[int, ...], ...]
+    estimates: tuple[list[Estimate], ...]
+    edges: tuple[int | str, ...]
     observers: tuple[Observer, ...]
+
+    def world(self, k: int) -> World:
+        return World(self.plants[k], tuple(n[c[k]] for n, c in zip(self.estimates, self.ids)))
+
+    @property
+    def initial(self) -> World:
+        return self.world(0)
+
+    @cached_property
+    def worlds(self) -> tuple[World, ...]:
+        rows = zip(*(map(n.__getitem__, c) for n, c in zip(self.estimates, self.ids)))
+        return tuple(map(World, self.plants, rows))
 
     @cached_property
     def delta(self) -> dict[tuple[World, str], World]:
-        worlds = self.worlds
-        return {(worlds[src], ev): worlds[dst] for src, ev, dst in self.edges}
+        worlds, moves = self.worlds, iter(self.edges)
+        return {(worlds[src], ev): worlds[dst] for src, ev, dst in zip(moves, moves, moves)}
+
+    @cached_property
+    def words(self) -> list[Word]:
+        # Worlds are numbered as the walk reaches them, each by its first edge.
+        words: list[Word] = [()]
+        moves = iter(self.edges)
+        for src, ev, dst in zip(moves, moves, moves):
+            if dst == len(words):
+                words.append(words[src] + (ev,))
+        return words
 
     @cached_property
     def witnesses(self) -> dict[World, Word]:
-        # Worlds are numbered as the walk reaches them, each by its first edge.
-        words: list[Word] = [()]
-        for src, ev, dst in self.edges:
-            if dst == len(words):
-                words.append(words[src] + (ev,))
-        return dict(zip(self.worlds, words))
+        return dict(zip(self.worlds, self.words))
 
     def automaton(self) -> Automaton:
         return Automaton(self.events, self.initial, self.delta)
@@ -152,38 +180,26 @@ def compose(model: PlantSpec, observers: Sequence[Observer],
     ``enabled(world, event)``, when given, drops every move it rejects, which
     turns the walk into a closed loop under supervision.
 
-    The walk runs on ``(plant state, estimate id, ...)`` keys: each
-    observer's estimates are numbered and its transitions turned into one
-    ``id -> id`` table per observable event, and each move steps only the
-    observers that see its event.  A :class:`World` is built once, when
-    first reached; its word is not kept, as the edges hold it.
+    The walk runs on ``(plant state, estimate id, ...)`` keys over each
+    observer's :attr:`Observer.numbered` tables, and each move steps only the
+    observers that see its event.  The keys become the composite's columns;
+    a :class:`World` is built only for ``enabled``, once per source.
     """
     if len(observers) < 1:
         raise ModelError("the composite needs at least one observer")
-    estimates: list[list[Estimate]] = []
-    tables: list[dict[str, dict[int, int]]] = []
-    for o in observers:
-        # Ids in order of first appearance: the initial estimate is 0.
-        ids: dict[Estimate, int] = {o.initial: 0}
-        table: dict[str, dict[int, int]] = {ev: {} for ev in o.observable}
-        for (est, ev), dst in o.delta.items():
-            if ev in table:
-                table[ev][ids.setdefault(est, len(ids))] = ids.setdefault(dst, len(ids))
-        estimates.append(list(ids))
-        tables.append(table)
+    names, tables = zip(*(o.numbered for o in observers))
     succ = model.successors
     # Per event, the key position and id table of each observer seeing it.
     plan = [(ev, succ[ev], [(j, t[ev]) for j, t in enumerate(tables, start=1)
                             if ev in t])
             for ev in sorted(model.events)]
-    initial = World(model.initial, tuple(o.initial for o in observers))
     keys = [(model.initial, *(0 for _ in observers))]
     index = {keys[0]: 0}
-    worlds = [initial]
-    edges: list[tuple[int, str, int]] = []
+    edges: list[int | str] = []
     for src, key in enumerate(keys):  # grows while it is read
         plant = key[0]
-        world = worlds[src]
+        if enabled is not None:
+            world = World(plant, tuple(map(list.__getitem__, names, key[1:])))
         for ev, moves, steps in plan:
             dst = moves.get(plant)
             if dst is None or (enabled is not None and not enabled(world, ev)):
@@ -193,16 +209,16 @@ def compose(model: PlantSpec, observers: Sequence[Observer],
             for j, step in steps:
                 k = step.get(key[j])
                 if k is None:
-                    raise observers[j - 1].stuck(estimates[j - 1][key[j]], ev)
+                    raise observers[j - 1].stuck(names[j - 1][key[j]], ev)
                 nxt[j] = k
             nxt = tuple(nxt)
             target = index.get(nxt)
             if target is None:
                 target = index[nxt] = len(keys)
                 keys.append(nxt)
-                worlds.append(World(dst, tuple(map(list.__getitem__, estimates, nxt[1:]))))
-            edges.append((src, ev, target))
-    return Composite(model.events, initial, tuple(worlds), tuple(edges),
+            edges += (src, ev, target)
+    plants, *ids = zip(*keys)
+    return Composite(model.events, plants, tuple(ids), names, tuple(edges),
                      tuple(observers))
 
 

@@ -253,9 +253,9 @@ def reference_parse_model(text: str) -> tuple[PlantSpec, SupervisionProfile]:
             if name in states:
                 raise FormatError(f"duplicate state {name!r}", lineno)
             flags = set(args[1:])
-            unknown = flags - {"init", "legal"}
+            unknown = [f for f in args[1:] if f not in ("init", "legal")]
             if unknown:
-                raise FormatError(f"unknown state option {unknown.pop()!r}", lineno)
+                raise FormatError(f"unknown state option {unknown[0]!r}", lineno)
             states[name] = ("init" in flags, "legal" in flags, lineno)
         elif keyword == "trans":
             if len(args) not in (3, 4):

@@ -107,7 +107,7 @@ class TestExtended:
         for line in _extended_lines(profile, "g"):
             uncovered &= ~frame.truth_set(line)
         enable_fails = uncovered & ~frame.truth_set(can_enable("g"))
-        assert frame.witness(frame.first(enable_fails)) == ("a", "b")
+        assert frame.composite.words[frame.lowest(enable_fails)] == ("a", "b")
 
 
 class TestCorrected:

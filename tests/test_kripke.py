@@ -164,9 +164,9 @@ class TestTruthSets:
 
     def test_first_is_the_lowest_world_in_breadth_first_order(self, legacy_gap_frame):
         frame = legacy_gap_frame
-        assert frame.first(frame.all_bits) == frame.composite.initial
+        assert frame.lowest(frame.all_bits) == 0
         illegal = frame.all_bits & ~frame.legal_bits
-        assert frame.first(illegal) == next(
+        assert frame.composite.world(frame.lowest(illegal)) == next(
             w for w in frame.worlds if not frame.world_legal(w))
 
 

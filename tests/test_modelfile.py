@@ -1,5 +1,10 @@
 """Model file parsing/serialization and supervisor file round trips."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from infobs import (load_supervisors, parse_model, save_supervisors,
@@ -77,6 +82,24 @@ class TestParse:
     def test_init_must_be_legal(self):
         with pytest.raises(FormatError, match="must be legal"):
             parse_model("supervisors 1\nevent a\nstate q0 init\n")
+
+    @pytest.mark.parametrize("hash_seed", ["1", "6", "8"])
+    def test_the_first_unknown_state_option_is_named(self, hash_seed):
+        # Which member a set gives up depends on string hashing; under hash
+        # seed 6 a set of these two options yields 'bar' first.
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        code = ("from infobs import parse_model\n"
+                "try:\n"
+                "    parse_model('supervisors 1\\nstate q0 init legal foo bar\\n')\n"
+                "except Exception as exc:\n"
+                "    print(exc)\n")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert "unknown state option 'foo'" in proc.stdout
 
     def test_legal_transition_endpoints(self):
         text = ("supervisors 1\nevent a\nstate q0 init legal\nstate q1\n"

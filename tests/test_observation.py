@@ -174,9 +174,11 @@ class TestComposeAgainstTheReference:
     def test_a_check_does_not_build_the_world_keyed_delta(self, legacy_gap):
         model, profile = legacy_gap
         frame = default_frame(model, profile)
-        check(frame, model, profile, "extended")
+        assert check(frame, model, profile, "extended").holds
+        assert not check(frame, model, profile, "legacy").holds
         composite = frame.composite
-        assert "delta" not in vars(composite)
+        assert not {"worlds", "delta", "witnesses"} & vars(composite).keys()
+        assert "_index" not in vars(frame)
         assert composite.automaton().delta is composite.delta
 
     def test_a_holding_check_does_not_build_the_witnesses(self, legacy_gap):
@@ -184,7 +186,68 @@ class TestComposeAgainstTheReference:
         frame = default_frame(model, profile)
         assert check(frame, model, profile, "extended").holds
         composite = frame.composite
-        assert "witnesses" not in vars(composite)
+        assert not {"worlds", "words", "witnesses"} & vars(composite).keys()
+        assert "_index" not in vars(frame)
         failed = check(frame, model, profile, "legacy")
         assert not failed.holds
+        assert not {"worlds", "delta", "witnesses"} & vars(composite).keys()
+        assert "_index" not in vars(frame)
         assert composite.witnesses[failed.counterexample.world] == ("g", "a")
+
+    @pytest.mark.parametrize("name", ["legacy_gap", "diamond"])
+    def test_failing_verdicts_name_the_derived_worlds_and_words(self, request, name):
+        model, profile = request.getfixturevalue(name)
+        frame = default_frame(model, profile)
+        verdicts = [check(frame, model, profile, which)
+                    for which in ("extended", "corrected", "legacy", "cp", "da")]
+        failing = [v.counterexample for v in verdicts if not v.holds]
+        assert "worlds" not in vars(frame.composite)
+        worlds, witnesses = frame.composite.worlds, frame.composite.witnesses
+        assert failing
+        for ce in failing:
+            assert ce.world in worlds
+            assert witnesses[ce.world] == ce.string
+            if ce.conflict_world is not None:
+                assert witnesses[ce.conflict_world] == ce.conflict_string
+
+
+def estimate_moves(observer):
+    """The observer's moves on observed events, read off its id view."""
+    names, moves = observer.numbered
+    return {(names[src], ev): names[dst]
+            for ev, table in moves.items() for src, dst in table.items()}
+
+
+class TestObserverIds:
+    @pytest.mark.parametrize("stream", ["n2_instances", "n3_instances"])
+    def test_the_view_is_the_one_read_off_delta(self, request, stream):
+        for model, profile, _frame in request.getfixturevalue(stream):
+            for i in range(profile.n):
+                observer = project(model, profile, i)
+                names, _moves = observer.numbered
+                assert names[0] == observer.initial
+                assert set(names) == observer.states
+                assert estimate_moves(observer) == observer.delta
+
+    def test_a_replaced_observer_derives_its_view(self, legacy_gap):
+        model, profile = legacy_gap
+        observer = project(model, profile, 0)
+        assert observer.numbered[1] == {"a": {0: 1}}
+        emptied = replace(observer, delta={})
+        assert "numbered" not in vars(emptied)
+        assert emptied.numbered == ([observer.initial], {"a": {}})
+        stray = replace(observer, observable=frozenset({"a", "g"}))
+        assert stray.numbered == (observer.numbered[0], {"a": {0: 1}, "g": {}})
+
+    def test_closed_loops_over_reloaded_supervisors(self, tmp_path,
+                                                    synthesized_instances):
+        for k, (model, profile, result) in enumerate(synthesized_instances[:40]):
+            save_supervisors(result, tmp_path / str(k))
+            loaded = load_supervisors(tmp_path / str(k))
+            observers = [s.observer for s in loaded.supervisors]
+            assert not any("numbered" in vars(o) for o in observers)
+            ours = closed_loop(model, profile, loaded)
+            theirs = closed_loop(model, profile, result)
+            assert (ours.initial, ours.delta) == (theirs.initial, theirs.delta)
+            for o, original in zip(observers, result.supervisors):
+                assert estimate_moves(o) == estimate_moves(original.observer)
