@@ -33,7 +33,7 @@ from .oracle import (OracleVerdict, SearchResult, exhaustive_supervisor_search,
                      oracle_condition, oracle_solves)
 from .randgen import instance_stream, random_instance
 from .synthesis import (PolicyCase, Supervisor, SynthesisResult, closed_loop,
-                        kp, kp_case, project_policy, synthesize,
+                        kp_case, project_policy, synthesize,
                         verify_solution)
 
 __version__ = "0.1.0"

@@ -53,21 +53,23 @@ class Explanation:
         return out
 
 
-def explain(frame: KripkeFrame, result: SynthesisResult, w: World,
+def explain(frame: KripkeFrame, result: SynthesisResult, k: int,
             event: str) -> Explanation:
-    """Explain the fused decision for ``event`` at world ``w``.
+    """Explain the fused decision for ``event`` at world number ``k``.
 
     The knowledge truths always come from the policy; the decision shown is
     the supervisor table's entry where one resolves (it can differ from the
     policy only for hand-edited tables), so the fused value matches what the
     closed loop would do.
     """
+    w = frame.composite.world(k)
     controllers = frame.profile.controllers(event)
     if not controllers:
         return Explanation(event, w, controllable=False)
     views = []
     for i in controllers:
-        policy_decision, case = kp_case(frame, w, event, i)
+        truths = policy_truths(frame, k, event, i)
+        policy_decision, case = kp_case(*truths)
         decision = policy_decision
         if i < len(result.supervisors):
             try:
@@ -77,8 +79,9 @@ def explain(frame: KripkeFrame, result: SynthesisResult, w: World,
         views.append(SupervisorView(
             supervisor=i,
             estimate=w.estimates[i],
-            class_members=frame.class_of(w, i, "partial"),
-            truths=policy_truths(frame, w, event, i),
+            class_members=tuple(map(frame.composite.world,
+                                    frame.class_of(k, i, "partial"))),
+            truths=truths,
             decision=decision,
             case=case if decision is policy_decision else None,
         ))

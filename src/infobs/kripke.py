@@ -21,7 +21,6 @@ from __future__ import annotations
 from collections import defaultdict
 from collections.abc import Container, Mapping
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Literal
 
 from .automata import PlantSpec, SupervisionProfile
@@ -208,15 +207,16 @@ def _bits(indices) -> int:
 class KripkeFrame:
     """Worlds, valuation, and both accessibility families.
 
-    Worlds are indexed in the composite's breadth-first order, and a set of
-    worlds is a bitset held in a Python ``int`` whose bit k stands for
-    ``worlds[k]``.  Formulas are evaluated by bottom-up labelling:
-    :meth:`truth_set` maps a formula to the set of worlds where it holds, the
-    connectives are bitwise operations on the sets of their parts, and
-    ``Know(i, f)`` is one pass over supervisor i's accessibility classes that
-    keeps every class lying inside the truth set of ``f``.  Truth sets are
-    memoized per (relation, formula), never per world; the cache is
-    write-once per key, so sharing the frame between readers is safe.
+    A world is its number in the composite's breadth-first order (the
+    :class:`World` objects in :attr:`worlds` are for output), and a set of
+    worlds is a bitset held in a Python ``int`` whose bit k stands for world
+    k.  Formulas are evaluated by bottom-up labelling: :meth:`truth_set`
+    maps a formula to the set of worlds where it holds, the connectives are
+    bitwise operations on the sets of their parts, and ``Know(i, f)`` is one
+    pass over supervisor i's accessibility classes that keeps every class
+    lying inside the truth set of ``f``.  Truth sets are memoized per
+    (relation, formula), never per world; the cache is write-once per key,
+    so sharing the frame between readers is safe.
 
     The valuation is read off one table: per proposition kind and event,
     the plant states where the proposition holds.  ``possible`` is the
@@ -247,26 +247,20 @@ class KripkeFrame:
     def worlds(self) -> tuple[World, ...]:
         return self.composite.worlds
 
-    @cached_property
-    def _index(self) -> dict[World, int]:
-        return {w: k for k, w in enumerate(self.worlds)}
-
     def world_legal(self, w: World) -> bool:
         return w.plant in self.model.legal_states
 
-    def class_of(self, w: World, i: int, relation: Relation = "partial") -> tuple[World, ...]:
-        """The accessibility class of ``w`` for supervisor ``i``.
+    def class_of(self, k: int, i: int, relation: Relation = "partial") -> tuple[int, ...]:
+        """Supervisor i's accessibility class of world k, as world numbers.
 
         Under the partial relation the class of a world with an illegal plant
         state is empty.
         """
-        if relation == "partial" and not self.world_legal(w):
+        ids, legal = self.composite.ids[i], self.legal_bits
+        if relation == "partial" and not legal >> k & 1:
             return ()
-        return tuple(v for v in self.worlds if v.estimates[i] == w.estimates[i]
-                     and (relation == "total" or self.world_legal(v)))
-
-    def witness(self, w: World):
-        return self.composite.witnesses[w]
+        return tuple(v for v, e in enumerate(ids) if e == ids[k]
+                     and (relation == "total" or legal >> v & 1))
 
     def lowest(self, bits: int) -> int:
         """The number of the first world of a nonempty set in breadth-first order."""
@@ -299,9 +293,9 @@ class KripkeFrame:
             self._truth[key] = found
         return found
 
-    def eval(self, w: World, phi: Formula, relation: Relation = "partial") -> bool:
-        """Whether ``phi`` holds at ``w``: one bit of :meth:`truth_set`."""
-        return bool(self.truth_set(phi, relation) >> self._index[w] & 1)
+    def eval(self, k: int, phi: Formula, relation: Relation = "partial") -> bool:
+        """Whether ``phi`` holds at world ``k``: one bit of :meth:`truth_set`."""
+        return bool(self.truth_set(phi, relation) >> k & 1)
 
     def _label(self, phi: Formula, relation: Relation) -> int:
         if isinstance(phi, Const):

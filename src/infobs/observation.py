@@ -123,9 +123,11 @@ class Composite:
     plant state ``plants[k]`` with estimate ``estimates[i][ids[i][k]]`` for
     observer i; ``edges`` lists every move flat as ``source, event, target``
     by world number.  The composite generates the plant's language, and
-    ``observers`` are the observers it was composed from.  :attr:`worlds`,
-    :attr:`delta`, :attr:`words` (shortest generating words, ties broken
-    lexicographically) and :attr:`witnesses` are built on first read.
+    ``observers`` are the observers it was composed from.  Past the walk a
+    world is its number: :attr:`delta` and :attr:`words` (shortest
+    generating words, ties broken lexicographically) are keyed by it and
+    built on first read, and :class:`World` objects, from :meth:`world` or
+    :attr:`worlds`, exist only for output and the oracle.
     """
 
     events: frozenset[str]
@@ -138,19 +140,15 @@ class Composite:
     def world(self, k: int) -> World:
         return World(self.plants[k], tuple(n[c[k]] for n, c in zip(self.estimates, self.ids)))
 
-    @property
-    def initial(self) -> World:
-        return self.world(0)
-
     @cached_property
     def worlds(self) -> tuple[World, ...]:
         rows = zip(*(map(n.__getitem__, c) for n, c in zip(self.estimates, self.ids)))
         return tuple(map(World, self.plants, rows))
 
     @cached_property
-    def delta(self) -> dict[tuple[World, str], World]:
-        worlds, moves = self.worlds, iter(self.edges)
-        return {(worlds[src], ev): worlds[dst] for src, ev, dst in zip(moves, moves, moves)}
+    def delta(self) -> dict[tuple[int, str], int]:
+        moves = iter(self.edges)
+        return {(src, ev): dst for src, ev, dst in zip(moves, moves, moves)}
 
     @cached_property
     def words(self) -> list[Word]:
@@ -162,28 +160,23 @@ class Composite:
                 words.append(words[src] + (ev,))
         return words
 
-    @cached_property
-    def witnesses(self) -> dict[World, Word]:
-        return dict(zip(self.worlds, self.words))
-
     def automaton(self) -> Automaton:
-        return Automaton(self.events, self.initial, self.delta)
+        return Automaton(self.events, 0, self.delta)
 
 
 def compose(model: PlantSpec, observers: Sequence[Observer],
-            enabled: Callable[[World, str], bool] | None = None) -> Composite:
+            enabled: Callable[[tuple, str], bool] | None = None) -> Composite:
     """Walk the reachable part of ``G x P_1(G) x ... x P_n(G)``.
 
     The plant component follows the plant's transition function; observer
     ``i`` advances only on events it observes.  For observers built by
     :func:`project`, the plant state is always a member of every estimate.
-    ``enabled(world, event)``, when given, drops every move it rejects, which
-    turns the walk into a closed loop under supervision.
 
     The walk runs on ``(plant state, estimate id, ...)`` keys over each
     observer's :attr:`Observer.numbered` tables, and each move steps only the
-    observers that see its event.  The keys become the composite's columns;
-    a :class:`World` is built only for ``enabled``, once per source.
+    observers that see its event.  The keys become the composite's columns.
+    ``enabled(key, event)``, when given, drops every move it rejects, which
+    turns the walk into a closed loop under supervision.
     """
     if len(observers) < 1:
         raise ModelError("the composite needs at least one observer")
@@ -198,11 +191,9 @@ def compose(model: PlantSpec, observers: Sequence[Observer],
     edges: list[int | str] = []
     for src, key in enumerate(keys):  # grows while it is read
         plant = key[0]
-        if enabled is not None:
-            world = World(plant, tuple(map(list.__getitem__, names, key[1:])))
         for ev, moves, steps in plan:
             dst = moves.get(plant)
-            if dst is None or (enabled is not None and not enabled(world, ev)):
+            if dst is None or (enabled is not None and not enabled(key, ev)):
                 continue
             nxt = list(key)
             nxt[0] = dst

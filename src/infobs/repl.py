@@ -35,10 +35,14 @@ class Simulator:
 
     def reset(self) -> None:
         self.word: tuple[str, ...] = ()
-        self.world = self.frame.composite.initial
+        self.world = 0  # the composite's world number
         self.loop_estimates = tuple(s.observer.initial for s in self.result.supervisors)
 
     # -- queries -----------------------------------------------------------
+
+    @property
+    def plant(self) -> str:
+        return self.frame.composite.plants[self.world]
 
     def fused(self, event: str):
         """Fused decision and the supervisors that force it, or None if
@@ -57,7 +61,7 @@ class Simulator:
         return fused, blockers
 
     def enabled(self, event: str) -> bool:
-        if not self.model.possible(self.world.plant, event):
+        if not self.model.possible(self.plant, event):
             return False
         fused, _ = self.fused(event)
         return fused is None or fused is ENABLE
@@ -67,7 +71,7 @@ class Simulator:
     def describe_events(self) -> list[str]:
         out = []
         for ev in sorted(self.model.events):
-            possible = self.model.possible(self.world.plant, ev)
+            possible = self.model.possible(self.plant, ev)
             fused, blockers = self.fused(ev)
             bits = ["possible" if possible else "not possible"]
             if fused is None:
@@ -85,8 +89,8 @@ class Simulator:
     def step(self, event: str) -> list[str]:
         if event not in self.model.events:
             return [f"unknown event {event!r}"]
-        if not self.model.possible(self.world.plant, event):
-            return [f"{event} is not possible at {self.world.plant}"]
+        if not self.model.possible(self.plant, event):
+            return [f"{event} is not possible at {self.plant}"]
         fused, blockers = self.fused(event)
         if fused is DISABLE:
             who = (", ".join(f"supervisor {i + 1}" for i in blockers)
@@ -98,7 +102,7 @@ class Simulator:
             s.observer.step(est, event)
             for s, est in zip(self.result.supervisors, self.loop_estimates))
         return [f"stepped on {event}; word so far: {format_word(self.word)}",
-                f"plant state: {self.world.plant}"]
+                f"plant state: {self.plant}"]
 
     def why(self, event: str) -> list[str]:
         if event not in self.model.events:

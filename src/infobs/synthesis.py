@@ -25,7 +25,7 @@ from .errors import (ModelError, NotControllable, NotInferenceObservable,
 from .fusion import ABSTAIN, ENABLE, OFF, ON, WOFF, WON, ControlDecision, \
     FusedDecision, fuse
 from .kripke import KripkeFrame
-from .observation import Estimate, Observer, World, compose
+from .observation import Estimate, Observer, compose
 
 
 class PolicyCase(Enum):
@@ -79,24 +79,28 @@ class SynthesisResult:
 
     def require_fits(self, profile: SupervisionProfile) -> None:
         """Raise :class:`ModelError` unless there is one supervisor per
-        profile entry and a default for every controlled event."""
+        profile entry, each observing only events the profile lets it see,
+        and a default for every controlled event."""
         if len(self.supervisors) != profile.n:
             raise ModelError("one supervisor per profile entry is required")
+        for i, s in enumerate(self.supervisors):
+            if hidden := s.observer.observable - profile.observable[i]:
+                raise ModelError(f"supervisor {i + 1} observes events hidden"
+                                 " from it: " + ", ".join(sorted(hidden)))
         missing = profile.sigma_c - self.defaults.keys()
         if missing:
             raise ModelError("no default for controlled events: "
                              + ", ".join(sorted(missing)))
 
 
-def policy_truths(frame: KripkeFrame, w: World, event: str, i: int) -> tuple[bool, bool, bool, bool]:
-    """The four knowledge values the policy reads, in table order."""
-    return tuple(frame.eval(w, line)
+def policy_truths(frame: KripkeFrame, k: int, event: str, i: int) -> tuple[bool, bool, bool, bool]:
+    """The four knowledge values the policy reads at world ``k``, in table order."""
+    return tuple(frame.eval(k, line)
                  for line in knowledge_lines(frame.profile, event, i))
 
 
-def kp_case(frame: KripkeFrame, w: World, event: str, i: int) -> tuple[ControlDecision, PolicyCase]:
-    """The knowledge-based control policy, with the case that fired."""
-    ke, kd, kce, kcd = policy_truths(frame, w, event, i)
+def kp_case(ke: bool, kd: bool, kce: bool, kcd: bool) -> tuple[ControlDecision, PolicyCase]:
+    """The knowledge-based control policy on :func:`policy_truths`, with the case that fired."""
     if ke and not kd:
         return ON, PolicyCase.KNOWS_ENABLE
     if kd and not ke:
@@ -114,13 +118,6 @@ def kp_case(frame: KripkeFrame, w: World, event: str, i: int) -> tuple[ControlDe
     return ABSTAIN, PolicyCase.DONT_KNOW
 
 
-def kp(frame: KripkeFrame, w: World, event: str, i: int) -> ControlDecision:
-    if event not in frame.profile.controllable[i]:
-        raise ModelError(
-            f"supervisor {i + 1} does not control event {event!r}")
-    return kp_case(frame, w, event, i)[0]
-
-
 def project_policy(frame: KripkeFrame, i: int, event: str
                    ) -> dict[Estimate, tuple[ControlDecision, PolicyCase]]:
     """Push the world-level policy down onto observer estimates.
@@ -131,25 +128,25 @@ def project_policy(frame: KripkeFrame, i: int, event: str
     Estimates reached only by illegal words get the abstain the policy
     produces at such worlds.
     """
-    table: dict[Estimate, tuple[ControlDecision, PolicyCase]] = {}
-    fallback: dict[Estimate, tuple[ControlDecision, PolicyCase]] = {}
-    for w in frame.worlds:
-        est = w.estimates[i]
-        decision, case = kp_case(frame, w, event, i)
-        if not frame.world_legal(w):
-            fallback.setdefault(est, (decision, case))
+    names = frame.composite.estimates[i]
+    table: dict[int, tuple[ControlDecision, PolicyCase]] = {}
+    fallback: dict[int, tuple[ControlDecision, PolicyCase]] = {}
+    for k, e in enumerate(frame.composite.ids[i]):
+        decision, case = kp_case(*policy_truths(frame, k, event, i))
+        if not frame.legal_bits >> k & 1:
+            fallback.setdefault(e, (decision, case))
             continue
-        known = table.get(est)
+        known = table.get(e)
         if known is None:
-            table[est] = (decision, case)
+            table[e] = (decision, case)
         elif known[0] is not decision:
             raise PolicyAmbiguity(
-                f"estimate {sorted(est)} of supervisor {i + 1} maps to both "
+                f"estimate {sorted(names[e])} of supervisor {i + 1} maps to both "
                 f"{known[0]} and {decision} for event {event!r}"
             )
-    for est, entry in fallback.items():
-        table.setdefault(est, entry)
-    return table
+    for e, entry in fallback.items():
+        table.setdefault(e, entry)
+    return {names[e]: entry for e, entry in table.items()}
 
 
 def synthesize(model: PlantSpec, profile: SupervisionProfile,
@@ -191,9 +188,10 @@ def closed_loop(model: PlantSpec, profile: SupervisionProfile,
     propagate; they are unreachable for synthesized supervisors.
     """
     result.require_fits(profile)
+    names = [s.observer.numbered[0] for s in result.supervisors]
 
-    def enabled(world: World, ev: str) -> bool:
-        bag = [result.supervisors[i].decide(world.estimates[i], ev)
+    def enabled(key: tuple, ev: str) -> bool:
+        bag = [result.supervisors[i].decide(names[i][key[i + 1]], ev)
                for i in profile.controllers(ev)]
         return not bag or fuse(bag, result.defaults[ev]) is ENABLE
 

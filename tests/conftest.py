@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 from collections import defaultdict, deque
 from pathlib import Path
@@ -148,7 +149,7 @@ def tiny_instances():
             continue
         frame = default_frame(model, profile)
         depth = len(model.states) + 1
-        if any(len(frame.witness(w)) > depth for w in frame.worlds):
+        if any(len(word) > depth for word in frame.composite.words):
             continue
         holds = (check(frame, model, profile, "controllability").holds
                  and check(frame, model, profile, "extended").holds)
@@ -168,6 +169,45 @@ def run_word(model: PlantSpec, word) -> str | None:
         if state is None:
             return None
     return state
+
+
+def write_peeking_supervisors(directory: Path) -> str:
+    """Hand-written supervisor files for ``diamond_unsolvable.des`` in which
+    supervisor 1 observes ``b`` as well as ``a``, though the model hides
+    ``b`` from it.  With its votes on ``g`` (off, on, on, off at s0 to s3)
+    and default enable, the closed loop would be the legal language."""
+    quarter = {q: [q, "t" + q[1:]] for q in ("s0", "s1", "s2", "s3")}
+    moves = (("s0", "a", "s1"), ("s0", "b", "s2"), ("s1", "b", "s3"),
+             ("s2", "a", "s3"))
+    before, after = ["s0", "s1", "t0", "t1"], ["s2", "s3", "t2", "t3"]
+    files = {
+        "supervisor_1.json": {
+            "supervisor": 1, "observable": ["a", "b"], "initial": quarter["s0"],
+            "states": list(quarter.values()),
+            "transitions": [{"src": quarter[q], "event": ev, "dst": quarter[r]}
+                            for q, ev, r in moves],
+            "table": [{"state": quarter[q], "event": "g", "decision": vote}
+                      for q, vote in zip(quarter, ("off", "on", "on", "off"))]},
+        "supervisor_2.json": {
+            "supervisor": 2, "observable": ["b"], "initial": before,
+            "states": [before, after],
+            "transitions": [{"src": before, "event": "b", "dst": after}],
+            "table": [{"state": est, "event": "g", "decision": "abstain"}
+                      for est in (before, after)]},
+        "defaults.json": {"defaults": {"g": "enable"}},
+    }
+    directory.mkdir()
+    for name, data in files.items():
+        (directory / name).write_text(json.dumps(data), encoding="utf-8")
+    return str(directory)
+
+
+def world_after(frame, word) -> int:
+    """The number of the world the frame's composite reaches on ``word``."""
+    k = 0
+    for ev in word:
+        k = frame.composite.delta[(k, ev)]
+    return k
 
 
 def reference_compose(model: PlantSpec, observers, enabled=None):

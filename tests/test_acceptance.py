@@ -143,13 +143,13 @@ def test_criterion_06_guard_transform_encapsulation(n2_instances):
         for _ in range(3):
             phi = random_formula(rng, events, profile.n, 4)
             guarded = guard_transform(phi)
-            for w in frame.worlds:
+            for k, w in enumerate(frame.worlds):
                 if frame.world_legal(w):
-                    if (frame.eval(w, phi, "partial")
-                            != frame.eval(w, guarded, "total")):
+                    if (frame.eval(k, phi, "partial")
+                            != frame.eval(k, guarded, "total")):
                         violations += 1
                 else:
-                    if not frame.eval(w, Know(0, phi), "partial"):
+                    if not frame.eval(k, Know(0, phi), "partial"):
                         violations += 1
     assert frames >= 200
     assert violations == 0

@@ -1,5 +1,6 @@
 """Command-line surface: exit codes, JSON schema, file outputs."""
 
+import io
 import json
 import os
 import subprocess
@@ -10,7 +11,7 @@ import pytest
 
 from infobs.cli import main
 
-from conftest import MODELS
+from conftest import MODELS, write_peeking_supervisors
 
 GAP = str(MODELS / "legacy_gap.des")
 BETS = str(MODELS / "conditional_bets.des")
@@ -275,6 +276,17 @@ class TestInputHardening:
         code, out, err = run(capsys, "oracle", GAP, "--mode", mode,
                              "--supervisors", str(sup_dir))
         assert code == 2 and not out and "--supervisors" in err
+
+    def test_a_supervisor_observing_a_hidden_event_exits_two(self, capsys,
+                                                            monkeypatch, tmp_path):
+        sup = write_peeking_supervisors(tmp_path / "peek")
+        monkeypatch.setattr(sys, "stdin", io.StringIO("step b\nstep g\nquit\n"))
+        for argv in (("verify", DIAMOND, "--supervisors", sup),
+                     ("oracle", DIAMOND, "--mode", "solve", "--supervisors", sup),
+                     ("simulate", DIAMOND, "--supervisors", sup)):
+            code, out, err = run(capsys, *argv)
+            assert code == 2 and not out
+            assert "supervisor 1 observes events hidden from it: b" in err
 
     def test_depth_flag_in_condition_mode_is_refused(self, capsys):
         code, out, err = run(capsys, "oracle", GAP, "--mode", "condition",

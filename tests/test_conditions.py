@@ -28,24 +28,24 @@ def blind_two_step_chain():
 class TestShorthand:
     def test_must_disable_is_possible_and_not_enableable(self, legacy_gap_frame):
         frame = legacy_gap_frame
-        for w in frame.worlds:
+        for k in range(len(frame.worlds)):
             for ev in frame.model.events:
-                lhs = frame.eval(w, must_disable(ev))
-                rhs = frame.eval(w, And(Not(can_enable(ev)), Var(possible(ev))))
+                lhs = frame.eval(k, must_disable(ev))
+                rhs = frame.eval(k, And(Not(can_enable(ev)), Var(possible(ev))))
                 assert lhs == rhs
 
     def test_must_enable_implies_possible(self, legacy_gap_frame):
         frame = legacy_gap_frame
-        for w in frame.worlds:
+        for k in range(len(frame.worlds)):
             for ev in frame.model.events:
-                if frame.eval(w, must_enable(ev)):
-                    assert frame.eval(w, Var(possible(ev)))
+                if frame.eval(k, must_enable(ev)):
+                    assert frame.eval(k, Var(possible(ev)))
 
     def test_can_enable_does_not_imply_must_enable(self, legacy_gap_frame):
         frame = legacy_gap_frame
         falsified = any(
-            frame.eval(w, can_enable(ev)) and not frame.eval(w, must_enable(ev))
-            for w in frame.worlds for ev in frame.model.events)
+            frame.eval(k, can_enable(ev)) and not frame.eval(k, must_enable(ev))
+            for k in range(len(frame.worlds)) for ev in frame.model.events)
         assert falsified
 
 

@@ -7,7 +7,7 @@ import pytest
 from infobs import (SupervisionProfile, check, closed_loop,
                     compose, default_frame, dfa_equivalent, load_supervisors,
                     plant_automaton, project, reachable, save_supervisors,
-                    synthesis)
+                    synthesis, synthesize, verify_solution)
 from infobs.errors import ModelError
 from infobs.observation import build_composite
 from infobs.randgen import instance_stream
@@ -16,11 +16,38 @@ from conftest import estimate_groups, reference_compose
 
 
 def assert_matches_reference(composite, model, observers, enabled=None):
+    """Compare with the World-keyed ``reference_compose``, naming each world
+    number by ``composite.worlds``; the reference hands ``enabled`` a
+    ``World``, which becomes its key through the observers' ids."""
+    by_key = enabled
+    if enabled is not None:
+        ids = [{est: e for e, est in enumerate(o.numbered[0])} for o in observers]
+
+        def enabled(world, ev):
+            key = (world.plant, *map(dict.__getitem__, ids, world.estimates))
+            return by_key(key, ev)
+
     initial, worlds, delta, witnesses = reference_compose(model, observers, enabled)
-    assert composite.initial == initial
-    assert composite.worlds == worlds
-    assert composite.delta == delta
-    assert composite.witnesses == witnesses
+    named = composite.worlds
+    assert composite.world(0) == initial
+    assert named == worlds
+    assert {(named[src], ev): named[dst]
+            for (src, ev), dst in composite.delta.items()} == delta
+    assert dict(zip(named, composite.words)) == witnesses
+
+
+@pytest.fixture
+def closed_loop_calls(monkeypatch):
+    """Every ``compose`` call ``closed_loop`` makes, in order, as
+    ``(model, observers, enabled, composite)``."""
+    calls = []
+
+    def kept(model, observers, enabled=None):
+        calls.append((model, observers, enabled, compose(model, observers, enabled)))
+        return calls[-1][-1]
+
+    monkeypatch.setattr(synthesis, "compose", kept)
+    return calls
 
 
 class TestProject:
@@ -77,7 +104,7 @@ class TestCompose:
     def test_gap_model_has_one_world_per_word_class(self, legacy_gap, legacy_gap_frame):
         composite = legacy_gap_frame.composite
         assert len(composite.worlds) == 6
-        witnesses = sorted(composite.witnesses.values())
+        witnesses = sorted(composite.words)
         assert witnesses == [(), ("a",), ("a", "g"), ("g",), ("g", "a"),
                              ("g", "a", "g")]
 
@@ -109,7 +136,7 @@ class TestCompose:
         second = build_composite(model, profile)
         assert first.worlds == second.worlds
         assert first.delta == second.delta
-        assert first.witnesses == second.witnesses
+        assert first.words == second.words
 
 
 class TestComposeAgainstTheReference:
@@ -122,34 +149,29 @@ class TestComposeAgainstTheReference:
             assert_matches_reference(composite, model, composite.observers)
 
     @staticmethod
-    def _closed_loops(monkeypatch, instances):
+    def _closed_loops(calls, instances):
         """Run ``closed_loop`` on each instance, checking every composite it
         builds; return how many of them the supervisors pruned."""
-        pruned = []
-
-        def checked(model, observers, enabled=None):
-            composite = compose(model, observers, enabled)
-            assert_matches_reference(composite, model, observers, enabled)
-            pruned.append(len(composite.edges) < len(compose(model, observers).edges))
-            return composite
-
-        monkeypatch.setattr(synthesis, "compose", checked)
         for model, profile, result in instances:
             closed_loop(model, profile, result)
-        assert len(pruned) == len(instances)
-        return sum(pruned)
+        assert len(calls) == len(instances)
+        pruned = 0
+        for model, observers, enabled, composite in calls:
+            assert_matches_reference(composite, model, observers, enabled)
+            pruned += len(composite.edges) < len(compose(model, observers).edges)
+        return pruned
 
-    def test_closed_loops_of_synthesized_supervisors_match(self, monkeypatch,
+    def test_closed_loops_of_synthesized_supervisors_match(self, closed_loop_calls,
                                                            synthesized_instances):
-        assert self._closed_loops(monkeypatch, synthesized_instances) > 0
+        assert self._closed_loops(closed_loop_calls, synthesized_instances) > 0
 
-    def test_closed_loops_of_loaded_supervisors_match(self, monkeypatch, tmp_path,
+    def test_closed_loops_of_loaded_supervisors_match(self, closed_loop_calls, tmp_path,
                                                       synthesized_instances):
         loaded = []
         for k, (model, profile, result) in enumerate(synthesized_instances[:40]):
             save_supervisors(result, tmp_path / str(k))
             loaded.append((model, profile, load_supervisors(tmp_path / str(k))))
-        assert self._closed_loops(monkeypatch, loaded) > 0
+        assert self._closed_loops(closed_loop_calls, loaded) > 0
 
     def test_a_missing_observer_move_raises_the_step_error(self, legacy_gap):
         model, profile = legacy_gap
@@ -177,8 +199,7 @@ class TestComposeAgainstTheReference:
         assert check(frame, model, profile, "extended").holds
         assert not check(frame, model, profile, "legacy").holds
         composite = frame.composite
-        assert not {"worlds", "delta", "witnesses"} & vars(composite).keys()
-        assert "_index" not in vars(frame)
+        assert not {"worlds", "delta"} & vars(composite).keys()
         assert composite.automaton().delta is composite.delta
 
     def test_a_holding_check_does_not_build_the_witnesses(self, legacy_gap):
@@ -186,13 +207,23 @@ class TestComposeAgainstTheReference:
         frame = default_frame(model, profile)
         assert check(frame, model, profile, "extended").holds
         composite = frame.composite
-        assert not {"worlds", "words", "witnesses"} & vars(composite).keys()
-        assert "_index" not in vars(frame)
+        assert not {"worlds", "words"} & vars(composite).keys()
         failed = check(frame, model, profile, "legacy")
         assert not failed.holds
-        assert not {"worlds", "delta", "witnesses"} & vars(composite).keys()
-        assert "_index" not in vars(frame)
-        assert composite.witnesses[failed.counterexample.world] == ("g", "a")
+        assert not {"worlds", "delta"} & vars(composite).keys()
+        k = composite.worlds.index(failed.counterexample.world)
+        assert composite.words[k] == ("g", "a")
+
+    @pytest.mark.parametrize("name", ["legacy_gap", "conditional_bets",
+                                      "conditional_bets_mirror"])
+    def test_synthesis_and_verification_build_no_world(self, request, name,
+                                                       closed_loop_calls):
+        model, profile = request.getfixturevalue(name)
+        result = synthesize(model, profile)
+        assert verify_solution(model, profile, result).equal
+        ((*_args, loop),) = closed_loop_calls
+        for composite in (result.frame.composite, loop):
+            assert "worlds" not in vars(composite)
 
     @pytest.mark.parametrize("name", ["legacy_gap", "diamond"])
     def test_failing_verdicts_name_the_derived_worlds_and_words(self, request, name):
@@ -202,7 +233,8 @@ class TestComposeAgainstTheReference:
                     for which in ("extended", "corrected", "legacy", "cp", "da")]
         failing = [v.counterexample for v in verdicts if not v.holds]
         assert "worlds" not in vars(frame.composite)
-        worlds, witnesses = frame.composite.worlds, frame.composite.witnesses
+        worlds = frame.composite.worlds
+        witnesses = dict(zip(worlds, frame.composite.words))
         assert failing
         for ce in failing:
             assert ce.world in worlds
@@ -239,7 +271,7 @@ class TestObserverIds:
         stray = replace(observer, observable=frozenset({"a", "g"}))
         assert stray.numbered == (observer.numbered[0], {"a": {0: 1}, "g": {}})
 
-    def test_closed_loops_over_reloaded_supervisors(self, tmp_path,
+    def test_closed_loops_over_reloaded_supervisors(self, tmp_path, closed_loop_calls,
                                                     synthesized_instances):
         for k, (model, profile, result) in enumerate(synthesized_instances[:40]):
             save_supervisors(result, tmp_path / str(k))
@@ -249,5 +281,6 @@ class TestObserverIds:
             ours = closed_loop(model, profile, loaded)
             theirs = closed_loop(model, profile, result)
             assert (ours.initial, ours.delta) == (theirs.initial, theirs.delta)
+            assert closed_loop_calls[-2][-1].worlds == closed_loop_calls[-1][-1].worlds
             for o, original in zip(observers, result.supervisors):
                 assert estimate_moves(o) == estimate_moves(original.observer)

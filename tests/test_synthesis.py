@@ -4,49 +4,45 @@ import pytest
 
 from infobs import (ABSTAIN, ENABLE, OFF, ON, WOFF, WON, Automaton, PlantSpec,
                     SupervisionProfile, closed_loop, default_frame,
-                    dfa_equivalent, kp, legal_automaton, must_disable,
-                    must_enable, plant_automaton, project_policy, synthesize,
-                    verify_solution)
-from infobs.errors import (NotControllable, NotInferenceObservable,
+                    dfa_equivalent, legal_automaton, load_supervisors,
+                    must_disable, must_enable, oracle_solves, plant_automaton,
+                    project_policy, synthesize, verify_solution)
+from infobs.errors import (ModelError, NotControllable, NotInferenceObservable,
                            PolicyAmbiguity)
 from infobs.fusion import ControlConflict, UndefinedFusion
 from infobs.kripke import KripkeFrame
 from infobs.observation import build_composite
-from infobs.synthesis import PolicyCase, Supervisor, SynthesisResult, kp_case
+from infobs.synthesis import (PolicyCase, Supervisor, SynthesisResult, kp_case,
+                              policy_truths)
 
-from conftest import automaton_language
+from conftest import automaton_language, world_after, write_peeking_supervisors
 
 
-def world_after(frame, word):
-    world = frame.composite.initial
-    for ev in word:
-        world = frame.composite.delta[(world, ev)]
-    return world
+def policy_at(frame, k, event, i):
+    """The policy's decision and case for supervisor ``i`` at world ``k``."""
+    return kp_case(*policy_truths(frame, k, event, i))
 
 
 class TestPolicy:
     def test_bets_model_initial_decision_is_a_conditional_veto(self, conditional_bets_frame):
-        w = world_after(conditional_bets_frame, ())
-        decision, case = kp_case(conditional_bets_frame, w, "g", 0)
+        k = world_after(conditional_bets_frame, ())
+        decision, case = policy_at(conditional_bets_frame, k, "g", 0)
         assert decision is WOFF and case is PolicyCase.BET_DISABLE
 
     def test_gap_model_initial_decision_is_a_definite_veto(self, legacy_gap_frame):
-        assert kp(legacy_gap_frame, world_after(legacy_gap_frame, ()), "g", 0) is OFF
+        k = world_after(legacy_gap_frame, ())
+        decision, _case = policy_at(legacy_gap_frame, k, "g", 0)
+        assert decision is OFF
 
     def test_blind_supervisor_defers_to_the_informed_one(self, legacy_gap_frame):
-        w = world_after(legacy_gap_frame, ())
-        decision, case = kp_case(legacy_gap_frame, w, "g", 1)
+        k = world_after(legacy_gap_frame, ())
+        decision, case = policy_at(legacy_gap_frame, k, "g", 1)
         assert decision is ABSTAIN and case is PolicyCase.DEFERS
 
     def test_mirrored_model_bets_on_enabling(self, mirror_frame):
-        w = world_after(mirror_frame, ())
-        decision, case = kp_case(mirror_frame, w, "g", 0)
+        k = world_after(mirror_frame, ())
+        decision, case = policy_at(mirror_frame, k, "g", 0)
         assert decision is WON and case is PolicyCase.BET_ENABLE
-
-    def test_policy_requires_the_supervisor_to_control_the_event(self, legacy_gap_frame):
-        from infobs.errors import ModelError
-        with pytest.raises(ModelError):
-            kp(legacy_gap_frame, world_after(legacy_gap_frame, ()), "a", 0)
 
 
 class TestProjectPolicy:
@@ -183,6 +179,24 @@ class TestVerifySolution:
         assert verdict.counterexample == ("g",)
 
 
+    def test_a_supervisor_observing_a_hidden_event_does_not_fit(self, diamond,
+                                                                tmp_path):
+        model, profile = diamond
+        result = load_supervisors(write_peeking_supervisors(tmp_path / "peek"))
+        with pytest.raises(ModelError, match="observes events hidden from it: b"):
+            verify_solution(model, profile, result)
+
+    def test_a_supervisor_may_ignore_events_it_could_see(self, legacy_gap):
+        # Supervisor 2 is blind; letting it see `a` does not oblige it to look.
+        model, profile = legacy_gap
+        result = synthesize(model, profile)
+        wider = SupervisionProfile(
+            (profile.observable[0], profile.observable[1] | {"a"}),
+            profile.controllable)
+        assert verify_solution(model, wider, result).equal
+        assert oracle_solves(model, wider, result).ok
+
+
 class TestCouplingInvariants:
     def test_soundness_on_synthesized_instances(self, synthesized_instances):
         failures = 0
@@ -203,19 +217,19 @@ class TestCouplingInvariants:
             frame = result.frame
             for ev in sorted(profile.sigma_c):
                 lines = _extended_lines(profile, ev)
-                for w in frame.worlds:
+                for k, w in enumerate(frame.worlds):
                     if not frame.world_legal(w):
                         continue
                     if (w.plant, ev) not in model.delta:
                         continue
-                    if not any(frame.eval(w, line, "partial") for line in lines):
+                    if not any(frame.eval(k, line, "partial") for line in lines):
                         continue
                     bag = [result.supervisors[i].decide(w.estimates[i], ev)
                            for i in profile.controllers(ev)]
                     fused = fuse(bag, result.defaults[ev])
-                    if frame.eval(w, must_enable(ev), "partial"):
+                    if frame.eval(k, must_enable(ev), "partial"):
                         assert fused is ENABLE
-                    if frame.eval(w, must_disable(ev), "partial"):
+                    if frame.eval(k, must_disable(ev), "partial"):
                         assert fused is not ENABLE
 
     def test_deferring_abstention_is_backed_by_another_definite_vote(self, synthesized_instances):
@@ -223,10 +237,10 @@ class TestCouplingInvariants:
             frame = result.frame
             for ev in sorted(profile.sigma_c):
                 controllers = profile.controllers(ev)
-                for w in frame.worlds:
+                for k, w in enumerate(frame.worlds):
                     if not frame.world_legal(w) or (w.plant, ev) not in model.delta:
                         continue
-                    cases = [kp_case(frame, w, ev, i) for i in controllers]
+                    cases = [policy_at(frame, k, ev, i) for i in controllers]
                     if any(case is PolicyCase.DEFERS for _d, case in cases):
                         assert any(d in (ON, OFF) for d, _c in cases)
 
@@ -234,9 +248,9 @@ class TestCouplingInvariants:
         for model, profile, result in synthesized_instances[:60]:
             frame = result.frame
             for ev in sorted(profile.sigma_c):
-                for w in frame.worlds:
+                for k, w in enumerate(frame.worlds):
                     if (w.plant, ev) not in model.delta:
                         continue
-                    votes = {kp_case(frame, w, ev, i)[0]
+                    votes = {policy_at(frame, k, ev, i)[0]
                              for i in profile.controllers(ev)}
                     assert not ({ON, OFF} <= votes)
