@@ -15,6 +15,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from types import MappingProxyType
 from typing import Any, Collection, Iterable, Iterator, Mapping
 
 from .errors import AlphabetMismatch, EnumerationBound, ModelError
@@ -30,15 +31,18 @@ Word = tuple[str, ...]
 class PlantSpec:
     """A plant automaton together with its legal subautomaton.
 
-    ``delta`` maps ``(state, event)`` pairs to successor states and is a
-    partial function, which makes the plant deterministic by construction.
-    ``legal_states`` and ``legal_transitions`` select the subautomaton that
-    describes the desired closed-loop behaviour.
+    ``successors`` holds one ``{state: successor}`` row per event, so the
+    transition function is partial and the plant deterministic by
+    construction.  ``legal_states`` and ``legal_sources`` (per event, the
+    states where it is legal) select the subautomaton that describes the
+    desired closed-loop behaviour.  Both tables have an entry for every
+    event; ``delta`` and ``legal_transitions`` are the same relations keyed
+    by ``(state, event)`` pairs, built on first read.
 
     Invariants (see :func:`validate_model`):
 
     * the initial state is legal;
-    * every legal transition exists in ``delta`` and runs between legal
+    * every legal transition exists in ``successors`` and runs between legal
       states, hence a legal transition is always physically possible;
     * every state is reachable from the initial state.
     """
@@ -46,22 +50,24 @@ class PlantSpec:
     events: frozenset[str]
     states: frozenset[str]
     initial: str
-    delta: Mapping[tuple[str, str], str]
+    successors: Mapping[str, Mapping[str, str]]
     legal_states: frozenset[str]
-    legal_transitions: frozenset[tuple[str, str]]
+    legal_sources: Mapping[str, frozenset[str]]
 
     @cached_property
-    def successors(self) -> dict[str, dict[str, str]]:
-        """``event -> {state: successor}``, one entry per event of the model;
-        :func:`~infobs.modelfile.parse_model` fills it as it checks ``delta``."""
-        table: dict[str, dict[str, str]] = {ev: {} for ev in self.events}
-        for (src, ev), dst in self.delta.items():
-            table.setdefault(ev, {})[src] = dst
-        return table
+    def delta(self) -> Mapping[tuple[str, str], str]:
+        """``(state, event) -> successor``, read-only."""
+        return MappingProxyType({(src, ev): dst for ev, row in self.successors.items()
+                                 for src, dst in row.items()})
+
+    @cached_property
+    def legal_transitions(self) -> frozenset[tuple[str, str]]:
+        return frozenset((src, ev) for ev, sources in self.legal_sources.items()
+                         for src in sources)
 
     def possible(self, state: str, event: str) -> bool:
         """True when the event can physically occur at the state."""
-        return (state, event) in self.delta
+        return state in self.successors.get(event, ())
 
 
 @dataclass(frozen=True)
@@ -106,19 +112,20 @@ def validate_model(model: PlantSpec) -> None:
     if not model.legal_states <= model.states:
         bad = sorted(model.legal_states - model.states)
         raise ModelError(f"unknown legal states: {', '.join(bad)}")
-    for (src, ev), dst in model.delta.items():
-        if src not in model.states or dst not in model.states:
-            raise ModelError(f"transition {src} -{ev}-> {dst} uses an unknown state")
-        if ev not in model.events:
-            raise ModelError(f"transition {src} -{ev}-> {dst} uses an unknown event")
-    for src, ev in model.legal_transitions:
-        if (src, ev) not in model.delta:
-            raise ModelError(f"legal transition ({src}, {ev}) does not exist in the plant")
-        if src not in model.legal_states or model.delta[(src, ev)] not in model.legal_states:
-            raise ModelError(
-                f"legal transition {src} -{ev}-> {model.delta[(src, ev)]}"
-                " must run between legal states"
-            )
+    if not model.successors.keys() == model.legal_sources.keys() == model.events:
+        raise ModelError("the transition tables need one row per event")
+    for ev, row in model.successors.items():
+        for src, dst in row.items():
+            if src not in model.states or dst not in model.states:
+                raise ModelError(f"transition {src} -{ev}-> {dst} uses an unknown state")
+        for src in model.legal_sources[ev]:
+            if src not in row:
+                raise ModelError(f"legal transition ({src}, {ev}) does not exist in the plant")
+            if src not in model.legal_states or row[src] not in model.legal_states:
+                raise ModelError(
+                    f"legal transition {src} -{ev}-> {row[src]}"
+                    " must run between legal states"
+                )
     unreachable = model.states - reachable(model, legal_only=False)
     if unreachable:
         names = ", ".join(sorted(unreachable))
@@ -142,14 +149,14 @@ def validate_profile(model: PlantSpec, profile: SupervisionProfile) -> None:
 
 
 def reachable(model: PlantSpec, legal_only: bool = False) -> frozenset[str]:
-    """States reachable from the initial state; a fixed point of ``delta``.
+    """States reachable from the initial state; a fixed point of the moves.
 
     With ``legal_only`` only legal transitions are followed, which yields the
     state set of the legal subautomaton's accessible part.
     """
     rows = model.successors.values()
     if legal_only:
-        rows = [{q: dst for q, dst in row.items() if (q, ev) in model.legal_transitions}
+        rows = [{q: row[q] for q in model.legal_sources[ev]}
                 for ev, row in model.successors.items()]
     return frozenset(closure({model.initial}, rows))
 
@@ -175,17 +182,17 @@ def walk_words(model: PlantSpec, k: int,
     generates, with the state it reaches: shortest first, and in event order
     within a length.
     """
-    events = sorted(model.events)
+    moves = [(ev, model.successors[ev],
+              model.legal_sources[ev] if legal_only else None)
+             for ev in sorted(model.events)]
     frontier: list[tuple[Word, str]] = [((), model.initial)]
     yield frontier[0]
     for _ in range(k):
         nxt: list[tuple[Word, str]] = []
         for word, state in frontier:
-            for ev in events:
-                if legal_only and (state, ev) not in model.legal_transitions:
-                    continue
-                dst = model.delta.get((state, ev))
-                if dst is not None:
+            for ev, row, allowed in moves:
+                dst = row.get(state)
+                if dst is not None and (allowed is None or state in allowed):
                     nxt.append((word + (ev,), dst))
         yield from nxt
         frontier = nxt
@@ -221,12 +228,13 @@ class Automaton:
 
 
 def plant_automaton(model: PlantSpec) -> Automaton:
-    return Automaton(model.events, model.initial, dict(model.delta))
+    return Automaton(model.events, model.initial, model.delta)
 
 
 def legal_automaton(model: PlantSpec) -> Automaton:
     """The legal subautomaton, generating exactly the legal language."""
-    delta = {(src, ev): model.delta[(src, ev)] for (src, ev) in model.legal_transitions}
+    delta = {(src, ev): model.successors[ev][src]
+             for ev, sources in model.legal_sources.items() for src in sources}
     return Automaton(model.events, model.initial, delta)
 
 

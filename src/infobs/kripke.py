@@ -18,7 +18,6 @@ same thing.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from collections.abc import Container, Mapping
 from dataclasses import dataclass
 from typing import Literal
@@ -221,7 +220,7 @@ class KripkeFrame:
     The valuation is read off one table: per proposition kind and event,
     the plant states where the proposition holds.  ``possible`` is the
     model's :attr:`~infobs.automata.PlantSpec.successors` table, ``legal``
-    one pass over the legal transitions.
+    its :attr:`~infobs.automata.PlantSpec.legal_sources`.
     """
 
     def __init__(self, composite: Composite, model: PlantSpec,
@@ -230,12 +229,9 @@ class KripkeFrame:
         self.model = model
         self.profile = profile
         self.all_bits = (1 << len(composite.plants)) - 1
-        legal: defaultdict[str, set[str]] = defaultdict(set)
-        for q, ev in model.legal_transitions:
-            legal[ev].add(q)
         self._states: dict[str, Mapping[str | None, Container[str]]] = {
             "state_legal": {None: model.legal_states},
-            "possible": model.successors, "legal": legal}
+            "possible": model.successors, "legal": model.legal_sources}
         self._classes: dict[tuple[int, Relation], list[int]] = {}
         self._props: dict[tuple[str, str | None], int] = {}
         self._truth: dict[tuple[Relation, Formula], int] = {}

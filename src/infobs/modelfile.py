@@ -14,7 +14,7 @@ Parsing validates every structural invariant and reports the offending line.
 from __future__ import annotations
 
 import json
-import re
+from collections import defaultdict
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -25,7 +25,7 @@ from .fusion import ControlDecision, FusedDecision
 from .observation import Estimate, Observer
 from .synthesis import PolicyCase, Supervisor, SynthesisResult
 
-_NAME = re.compile(r"^[^\s#=]+$")
+_STATE_OPTIONS = frozenset({"init", "legal"})
 
 # Parsing allocates per supervisor, so the count is bounded before anything
 # is built for it.
@@ -53,10 +53,11 @@ def parse_model(text: str) -> tuple[PlantSpec, SupervisionProfile]:
     n: int | None = None
     events: dict[str, tuple[frozenset[int], frozenset[int], int]] = {}
     states: dict[str, tuple[bool, bool, int]] = {}  # name -> (init, legal, line)
-    # Transitions go straight into delta; trans_lines holds their lines.
-    delta: dict[tuple[str, str], str] = {}
-    trans_lines: list[int] = []
-    legal_transitions: set[tuple[str, str]] = set()
+    # Transitions go straight into the per-event tables of the plant; the
+    # legal ones also list their sources per event and their targets.
+    rows: defaultdict[str, dict[str, str]] = defaultdict(dict)
+    legal_rows: defaultdict[str, list[str]] = defaultdict(list)
+    legal_targets: list[str] = []
     pending_events: list[tuple[str, str, str, int]] = []
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -72,15 +73,15 @@ def parse_model(text: str) -> tuple[PlantSpec, SupervisionProfile]:
             legal = len(tokens) == 5
             if legal and tokens[4] != "legal":
                 raise FormatError(f"unknown transition option {tokens[4]!r}", lineno)
-            key = (src, ev)
-            if key in delta:
+            row = rows[ev]
+            if src in row:
                 raise FormatError(
                     f"duplicate transition from {src!r} on {ev!r}"
                     " (the plant must stay deterministic)", lineno)
-            delta[key] = dst
-            trans_lines.append(lineno)
+            row[src] = dst
             if legal:
-                legal_transitions.add(key)
+                legal_rows[ev].append(src)
+                legal_targets.append(dst)
         elif keyword == "supervisors":
             if n is not None:
                 raise FormatError("duplicate supervisors directive", lineno)
@@ -108,14 +109,15 @@ def parse_model(text: str) -> tuple[PlantSpec, SupervisionProfile]:
         elif keyword == "state":
             if len(tokens) == 1:
                 raise FormatError("state needs a name", lineno)
-            name = tokens[1]
-            if not _NAME.match(name):
+            # Tokens hold no whitespace and no "#", so "=" is the one
+            # character a name can have that it must not.
+            name, flags = tokens[1], tokens[2:]
+            if "=" in name:
                 raise FormatError(f"bad state name {name!r}", lineno)
             if name in states:
                 raise FormatError(f"duplicate state {name!r}", lineno)
-            flags = set(tokens[2:])
-            if not flags <= {"init", "legal"}:
-                unknown = next(f for f in tokens[2:] if f not in ("init", "legal"))
+            if not _STATE_OPTIONS.issuperset(flags):
+                unknown = next(f for f in flags if f not in _STATE_OPTIONS)
                 raise FormatError(f"unknown state option {unknown!r}", lineno)
             states[name] = ("init" in flags, "legal" in flags, lineno)
         else:
@@ -127,7 +129,7 @@ def parse_model(text: str) -> tuple[PlantSpec, SupervisionProfile]:
     observable = [set() for _ in range(n)]
     controllable = [set() for _ in range(n)]
     for name, obs_spec, ctrl_spec, lineno in pending_events:
-        if not _NAME.match(name):
+        if "=" in name:
             raise FormatError(f"bad event name {name!r}", lineno)
         if name in events:
             raise FormatError(f"duplicate event {name!r}", lineno)
@@ -148,30 +150,23 @@ def parse_model(text: str) -> tuple[PlantSpec, SupervisionProfile]:
         raise FormatError(f"initial state {initial!r} must be legal",
                           states[initial][2])
 
-    successors: dict[str, dict[str, str]] = {ev: {} for ev in events}
-    for (key, dst), lineno in zip(delta.items(), trans_lines):
-        src, ev = key
-        if src not in states or dst not in states:
-            undefined = src if src not in states else dst
-            raise FormatError(f"undefined state {undefined!r}", lineno)
-        row = successors.get(ev)
-        if row is None:
-            raise FormatError(f"undefined event {ev!r}", lineno)
-        row[src] = dst
-        if key in legal_transitions and not (states[src][1] and states[dst][1]):
-            raise FormatError(
-                f"legal transition {src} -{ev}-> {dst} must run between"
-                " legal states", lineno)
+    names = frozenset(states)
+    legal_states = frozenset(name for name, (_i, lgl, _ln) in states.items() if lgl)
+    if not (events.keys() >= rows.keys()
+            and all(names.issuperset(row) and names.issuperset(row.values())
+                    for row in rows.values())
+            and legal_states.issuperset(legal_targets)
+            and all(map(legal_states.issuperset, legal_rows.values()))):
+        raise _first_bad_transition(text, states, events)
 
     model = PlantSpec(
         events=frozenset(events),
-        states=frozenset(states),
+        states=names,
         initial=initial,
-        delta=delta,
-        legal_states=frozenset(name for name, (_i, lgl, _ln) in states.items() if lgl),
-        legal_transitions=frozenset(legal_transitions),
+        successors={ev: rows.get(ev, {}) for ev in events},
+        legal_states=legal_states,
+        legal_sources={ev: frozenset(legal_rows.get(ev, ())) for ev in events},
     )
-    model.__dict__["successors"] = successors  # the cached property, not rebuilt
     unreachable = model.states - reachable(model)
     if unreachable:
         worst = min(unreachable, key=lambda s: states[s][2])
@@ -181,6 +176,25 @@ def parse_model(text: str) -> tuple[PlantSpec, SupervisionProfile]:
                                  tuple(frozenset(c) for c in controllable))
     validate_profile(model, profile)
     return model, profile
+
+
+def _first_bad_transition(text: str, states: dict, events: dict) -> FormatError:
+    """The error for the first transition in file order that names an
+    undeclared state or event, or is legal with an illegal endpoint."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        tokens = raw.split("#", 1)[0].split()
+        if tokens[:1] != ["trans"]:
+            continue
+        src, ev, dst = tokens[1:4]
+        for endpoint in (src, dst):
+            if endpoint not in states:
+                return FormatError(f"undefined state {endpoint!r}", lineno)
+        if ev not in events:
+            return FormatError(f"undefined event {ev!r}", lineno)
+        if len(tokens) == 5 and not (states[src][1] and states[dst][1]):
+            return FormatError(f"legal transition {src} -{ev}-> {dst} must run"
+                               " between legal states", lineno)
+    raise AssertionError("every transition is well formed")
 
 
 def serialize_model(model: PlantSpec, profile: SupervisionProfile) -> str:
@@ -212,7 +226,7 @@ def serialize_model(model: PlantSpec, profile: SupervisionProfile) -> str:
 
 def load_model(path: str | Path) -> tuple[PlantSpec, SupervisionProfile]:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except IsADirectoryError:
         raise FormatError(f"{path} is a directory, not a model file") from None
     except UnicodeDecodeError as exc:
@@ -284,7 +298,7 @@ def load_supervisors(directory: str | Path) -> SynthesisResult:
     for path in paths:
         with _malformed(path):
             supervisors.append(_supervisor_from_json(
-                json.loads(path.read_text(encoding="utf-8")), provenance))
+                json.loads(path.read_text(encoding="utf-8-sig")), provenance))
     supervisors.sort(key=lambda s: s.index)
     if [s.index for s in supervisors] != list(range(len(supervisors))):
         raise FormatError(f"supervisor files in {directory} do not cover 1..n")
@@ -292,7 +306,7 @@ def load_supervisors(directory: str | Path) -> SynthesisResult:
     if not defaults_file.exists():
         raise FormatError(f"missing defaults.json in {directory}")
     with _malformed(defaults_file):
-        raw = json.loads(defaults_file.read_text(encoding="utf-8"))["defaults"]
+        raw = json.loads(defaults_file.read_text(encoding="utf-8-sig"))["defaults"]
         defaults = {ev: FusedDecision(v) for ev, v in raw.items()}
     return SynthesisResult(tuple(supervisors), defaults, provenance)
 

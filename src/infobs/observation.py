@@ -88,15 +88,15 @@ def project(model: PlantSpec, profile: SupervisionProfile, i: int) -> Observer:
     stored = {initial: initial}
     states = [initial]
     delta: dict[tuple[Estimate, str], Estimate] = {}
-    events = [(ev, moves.get(ev, {}).get) for ev in sorted(observable)]
+    events = [(ev, moves[ev].keys(), moves[ev].get) for ev in sorted(observable)]
     for est in states:  # grows while it is read
-        for ev, step_from in events:
+        for ev, sources, step_from in events:
+            if sources.isdisjoint(est):  # no state of est can take ev
+                continue
             step = frozenset(map(step_from, est))  # None where ev is not possible
             target = stored.get(step)
             if target is None:
                 found = frozenset(closure(step - {None}, silent))
-                if not found:  # no state of est can take ev
-                    continue
                 target = stored[step] = stored.setdefault(found, found)
                 if target is found:
                     states.append(found)

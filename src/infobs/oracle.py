@@ -70,9 +70,9 @@ def oracle_solves(model: PlantSpec, profile: SupervisionProfile,
     sigma_c = profile.sigma_c
     for word, state in _legal_words(model, k):
         for ev in sorted(model.events):
-            if (state, ev) not in model.delta:
+            if state not in model.successors[ev]:
                 continue
-            legal_next = (state, ev) in model.legal_transitions
+            legal_next = state in model.legal_sources[ev]
             if ev not in sigma_c:
                 if not legal_next:
                     return OracleVerdict(False, word, ev, RULE_UNCONTROLLABLE)
@@ -113,10 +113,10 @@ def oracle_condition(model: PlantSpec, profile: SupervisionProfile,
         return w.plant in model.legal_states
 
     def sig_g(w, ev):
-        return (w.plant, ev) in model.delta
+        return w.plant in model.successors[ev]
 
     def sig_e(w, ev):
-        return (w.plant, ev) in model.legal_transitions
+        return w.plant in model.legal_sources[ev]
 
     def e(w, ev):
         return (not sig_g(w, ev)) or sig_e(w, ev)
@@ -250,7 +250,7 @@ def exhaustive_supervisor_search(model: PlantSpec, profile: SupervisionProfile,
     # Uncontrollable escapes doom every table alike.
     for word, state in words:
         for ev in sorted(model.events - sigma_c):
-            if (state, ev) in model.delta and (state, ev) not in model.legal_transitions:
+            if state in model.successors[ev] and state not in model.legal_sources[ev]:
                 return SearchResult(False)
 
     tables: dict[int, dict[tuple[Estimate, str], ControlDecision]] = {
@@ -264,10 +264,10 @@ def exhaustive_supervisor_search(model: PlantSpec, profile: SupervisionProfile,
         # one tuple sink every table.
         required: dict[tuple[Estimate, ...], FusedDecision] = {}
         for word, state in words:
-            if (state, ev) not in model.delta:
+            if state not in model.successors[ev]:
                 continue
             key = tuple(observers[i].run(_projected(word, profile, i)) for i in ctrl)
-            want = (ENABLE if (state, ev) in model.legal_transitions else DISABLE)
+            want = (ENABLE if state in model.legal_sources[ev] else DISABLE)
             if required.setdefault(key, want) is not want:
                 return SearchResult(False)
 

@@ -14,8 +14,8 @@ from __future__ import annotations
 import random
 from typing import Sequence
 
-from .automata import (PlantSpec, SupervisionProfile, reachable,
-                       validate_model, validate_profile)
+from .automata import (PlantSpec, SupervisionProfile, closure, validate_model,
+                       validate_profile)
 
 _EVENT_NAMES = ("a", "b", "c")
 
@@ -39,29 +39,29 @@ def random_instance(rng: random.Random, max_states: int = 5, max_events: int = 3
     n_events = rng.randint(1, max_events)
     events = list(_EVENT_NAMES[:n_events])
     states = [f"q{k}" for k in range(n_states)]
-    delta = {}
+    successors: dict[str, dict[str, str]] = {ev: {} for ev in events}
     for q in states:
         for ev in events:
             if rng.random() < transition_density:
-                delta[(q, ev)] = rng.choice(states)
+                successors[ev][q] = rng.choice(states)
 
     legal = {q for q in states if rng.random() < legal_state_bias}
     legal.add("q0")
-    # Absorbing illegal region: drop any transition escaping back to legality.
-    delta = {(q, ev): dst for (q, ev), dst in delta.items()
-             if not (q not in legal and dst in legal)}
-
-    reach = reachable(PlantSpec(frozenset(events), frozenset(states), "q0", delta,
-                                frozenset(), frozenset()))
-    states = [q for q in states if q in reach]
-    delta = {(q, ev): dst for (q, ev), dst in delta.items() if q in reach}
+    # Absorbing illegal region: drop any transition escaping back to legality,
+    # then every state the plant cannot reach.
+    successors = {ev: {q: dst for q, dst in row.items()
+                       if q in legal or dst not in legal}
+                  for ev, row in successors.items()}
+    reach = closure({"q0"}, successors.values())
+    successors = {ev: {q: dst for q, dst in row.items() if q in reach}
+                  for ev, row in successors.items()}
     legal &= reach
+    legal_sources = {ev: frozenset(q for q, dst in row.items()
+                                   if q in legal and dst in legal)
+                     for ev, row in successors.items()}
 
-    legal_transitions = {(q, ev) for (q, ev), dst in delta.items()
-                         if q in legal and dst in legal}
-
-    model = PlantSpec(frozenset(events), frozenset(states), "q0", delta,
-                      frozenset(legal), frozenset(legal_transitions))
+    model = PlantSpec(frozenset(events), frozenset(reach), "q0", successors,
+                      frozenset(legal), legal_sources)
     n = rng.choice(list(n_choices))
     observable = tuple(frozenset(ev for ev in events
                                  if rng.random() < obs_membership)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 from collections import defaultdict, deque
 from pathlib import Path
 
@@ -14,7 +15,7 @@ from infobs import (And, Const, Implies, Know, Not, Or, PlantSpec,
                     language_upto, legal, load_model, possible, synthesize)
 from infobs.automata import validate_profile
 from infobs.errors import FormatError, ModelError, SynthesisError
-from infobs.modelfile import _NAME, MAX_SUPERVISORS, _parse_indices
+from infobs.modelfile import MAX_SUPERVISORS, _parse_indices
 from infobs.observation import World
 from infobs.randgen import instance_stream, random_instance
 
@@ -162,6 +163,22 @@ def tiny_instances():
 # ---------------------------------------------------------------------------
 # Test oracles
 
+def plant_from_pairs(events, states, initial, delta, legal_states,
+                     legal_transitions) -> PlantSpec:
+    """A :class:`PlantSpec` from its relations keyed by ``(state, event)``
+    pairs: ``delta`` maps each to a successor, ``legal_transitions`` holds
+    the legal ones.  Every event gets a row in both tables."""
+    successors = {ev: {} for ev in events}
+    legal_sources = {ev: set() for ev in events}
+    for (src, ev), dst in delta.items():
+        successors.setdefault(ev, {})[src] = dst
+    for src, ev in legal_transitions:
+        legal_sources.setdefault(ev, set()).add(src)
+    return PlantSpec(frozenset(events), frozenset(states), initial, successors,
+                     frozenset(legal_states),
+                     {ev: frozenset(sources) for ev, sources in legal_sources.items()})
+
+
 def run_word(model: PlantSpec, word) -> str | None:
     state = model.initial
     for ev in word:
@@ -240,6 +257,9 @@ def reference_compose(model: PlantSpec, observers, enabled=None):
                 witnesses[target] = witnesses[world] + (ev,)
                 queue.append(target)
     return initial, tuple(worlds), delta, witnesses
+
+
+_NAME = re.compile(r"^[^\s#=]+$")
 
 
 def reference_parse_model(text: str) -> tuple[PlantSpec, SupervisionProfile]:
@@ -357,13 +377,13 @@ def reference_parse_model(text: str) -> tuple[PlantSpec, SupervisionProfile]:
                     " legal states", lineno)
             legal_transitions.add((src, ev))
 
-    model = PlantSpec(
-        events=frozenset(events),
-        states=frozenset(states),
+    model = plant_from_pairs(
+        events=events,
+        states=states,
         initial=initial,
         delta=delta,
-        legal_states=frozenset(name for name, (_i, lgl, _ln) in states.items() if lgl),
-        legal_transitions=frozenset(legal_transitions),
+        legal_states=[name for name, (_i, lgl, _ln) in states.items() if lgl],
+        legal_transitions=legal_transitions,
     )
     unreachable = model.states - _reference_reachable(model)
     if unreachable:

@@ -4,45 +4,55 @@ from dataclasses import replace
 
 import pytest
 
-from infobs import (Automaton, PlantSpec, dfa_equivalent, language_upto,
+from infobs import (Automaton, dfa_equivalent, language_upto,
                     legal_automaton, plant_automaton, reachable,
                     validate_model)
 from infobs.automata import walk_words
 from infobs.errors import AlphabetMismatch, EnumerationBound, ModelError
 from infobs.randgen import instance_stream
 
-from conftest import automaton_language, run_word
+from conftest import automaton_language, plant_from_pairs, run_word
 
 
 def chain(states, moves, legal_states=None, legal_moves=None, events=None):
     """Small helper to build models tersely in tests."""
     delta = {(s, e): d for s, e, d in moves}
-    events = frozenset(events or {e for _, e, _ in moves})
-    return PlantSpec(
-        events=events,
-        states=frozenset(states),
+    return plant_from_pairs(
+        events=events or {e for _, e, _ in moves},
+        states=states,
         initial=states[0],
         delta=delta,
-        legal_states=frozenset(legal_states if legal_states is not None else states),
-        legal_transitions=frozenset(legal_moves if legal_moves is not None
-                                    else delta.keys()),
+        legal_states=legal_states if legal_states is not None else states,
+        legal_transitions=legal_moves if legal_moves is not None else delta.keys(),
     )
 
 
-class TestSuccessors:
-    def test_table_regroups_delta_by_event_and_is_built_once(self):
+class TestPairViews:
+    def test_pair_views_equal_the_rows_and_are_built_once(self):
         for model, _profile in instance_stream(33, 40):
-            table = model.successors
-            assert table is model.successors
-            assert set(table) == model.events
-            assert {(q, ev): dst for ev, row in table.items()
-                    for q, dst in row.items()} == dict(model.delta)
+            assert set(model.successors) == set(model.legal_sources) == model.events
+            delta, legal = model.delta, model.legal_transitions
+            assert delta is model.delta and legal is model.legal_transitions
+            assert dict(delta) == {(q, ev): dst for ev, row in model.successors.items()
+                                   for q, dst in row.items()}
+            assert legal == {(q, ev) for ev, sources in model.legal_sources.items()
+                             for q in sources}
+            assert legal <= delta.keys()
+            with pytest.raises(TypeError):
+                delta[("q0", "a")] = "q0"  # read-only
+            # Pairs regrouped into rows give back the model and its pairs.
+            rebuilt = plant_from_pairs(model.events, model.states, model.initial,
+                                       delta, model.legal_states, legal)
+            assert rebuilt == model
+            assert (rebuilt.delta, rebuilt.legal_transitions) == (delta, legal)
 
-    def test_cached_table_leaves_equality_alone(self, legacy_gap):
+    def test_pair_views_are_built_on_first_read_and_leave_equality_alone(
+            self, legacy_gap):
         model, _ = legacy_gap
         fresh = replace(model)
-        assert "successors" not in vars(fresh)
-        assert model.successors and model == fresh
+        assert not {"delta", "legal_transitions"} & vars(fresh).keys()
+        assert model.delta and model.legal_transitions and model == fresh
+        assert {"delta", "legal_transitions"} <= vars(model).keys()
 
 
 class TestReachable:

@@ -9,7 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from infobs.cli import main
+from infobs import cli
+from infobs.cli import CHOICES, main
+from infobs.modelfile import load_model
 
 from conftest import MODELS, write_peeking_supervisors
 
@@ -217,6 +219,31 @@ class TestOracleCommand:
         assert code == 0
 
 
+def test_commands_build_no_pair_table(capsys, monkeypatch, tmp_path):
+    # Every layer of these commands reads the per-event rows; the pair views
+    # are derived only on a read, so none may appear on the loaded model.
+    models = []
+
+    def load(path):
+        model, profile = load_model(path)
+        models.append(model)
+        return model, profile
+
+    monkeypatch.setattr(cli, "load_model", load)
+    sup = str(tmp_path / "sup")
+    commands = [("check", GAP, "--condition", c) for c in CHOICES]
+    commands += [("synthesize", GAP, "-o", sup),
+                 ("verify", GAP, "--supervisors", sup)]
+    commands += [("oracle", GAP, "--mode", mode)
+                 for mode in ("condition", "solve", "search")]
+    for argv in commands:
+        code, _, err = run(capsys, *argv)
+        assert code in (0, 1) and not err, argv
+    assert len(models) == len(commands)
+    for model in models:
+        assert not {"delta", "legal_transitions"} & vars(model).keys()
+
+
 class TestInputHardening:
     """Malformed input is a usage or parse error (exit 2), never a traceback
     and never a pass."""
@@ -390,6 +417,22 @@ class TestInputHardening:
         (tmp_path / "taken").write_text("")
         code, out, err = run(capsys, *argv, str(tmp_path / target))
         assert code == 2 and not out and err.startswith("error: ")
+
+    def test_a_model_file_with_a_byte_order_mark_is_read(self, capsys, tmp_path):
+        # The mark used to reach the parser and fail line 1 as an unknown
+        # directive '\ufeffsupervisors'.
+        marked = tmp_path / "gap.des"
+        marked.write_bytes(b"\xef\xbb\xbf" + Path(GAP).read_bytes())
+        assert run(capsys, "check", str(marked)) == run(capsys, "check", GAP)
+
+    def test_supervisor_files_with_a_byte_order_mark_are_read(self, capsys,
+                                                             sup_dir):
+        # The mark used to make each file invalid JSON.
+        expected = run(capsys, "verify", GAP, "--supervisors", str(sup_dir))
+        assert expected[0] == 0
+        for path in sup_dir.glob("*.json"):
+            path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        assert run(capsys, "verify", GAP, "--supervisors", str(sup_dir)) == expected
 
     def test_non_utf8_model_file_exits_two(self, capsys, tmp_path):
         bad = tmp_path / "bad.des"

@@ -2,24 +2,25 @@
 
 import pytest
 
-from infobs import (DISABLE, ENABLE, PlantSpec, SupervisionProfile,
-                    can_enable, check, default_frame, must_disable,
-                    must_enable)
+from infobs import (DISABLE, ENABLE, SupervisionProfile, can_enable, check,
+                    default_frame, must_disable, must_enable)
 from infobs.conditions import _extended_lines
 from infobs.errors import ModelError
 from infobs.kripke import And, Not, Var, possible
 from infobs.randgen import instance_stream
 
+from conftest import plant_from_pairs
+
 
 def blind_two_step_chain():
     """g twice in a row: first legal, second not; nobody observes anything."""
-    model = PlantSpec(
-        events=frozenset({"g"}),
-        states=frozenset({"q0", "q1", "q2"}),
+    model = plant_from_pairs(
+        events={"g"},
+        states={"q0", "q1", "q2"},
         initial="q0",
         delta={("q0", "g"): "q1", ("q1", "g"): "q2"},
-        legal_states=frozenset({"q0", "q1"}),
-        legal_transitions=frozenset({("q0", "g")}),
+        legal_states={"q0", "q1"},
+        legal_transitions={("q0", "g")},
     )
     profile = SupervisionProfile((frozenset(),), (frozenset({"g"}),))
     return model, profile
@@ -61,9 +62,9 @@ class TestControllability:
 
     def test_uncontrollable_escape_is_reported_at_the_initial_world(self, legacy_gap):
         model, profile = legacy_gap
-        weakened = PlantSpec(model.events, model.states, model.initial,
-                             model.delta, model.legal_states,
-                             model.legal_transitions - {("q0", "a")})
+        weakened = plant_from_pairs(model.events, model.states, model.initial,
+                                    model.delta, model.legal_states,
+                                    model.legal_transitions - {("q0", "a")})
         verdict = check(default_frame(weakened, profile), weakened, profile,
                         "controllability")
         assert not verdict.holds

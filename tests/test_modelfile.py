@@ -101,6 +101,22 @@ class TestParse:
         assert proc.returncode == 0, proc.stderr
         assert "unknown state option 'foo'" in proc.stdout
 
+    @pytest.mark.parametrize("first, second, message", [
+        ("trans q9 g q1", "trans q8 a q1", "undefined state 'q9'"),
+        ("trans q0 g q9", "trans q1 a q8", "undefined state 'q9'"),
+        ("trans q0 z q1", "trans q1 y q1", "undefined event 'z'"),
+        ("trans q0 g q2 legal", "trans q1 a q2 legal",
+         "legal transition q0 -g-> q2 must run between legal states"),
+    ], ids=["source", "target", "event", "legal-endpoint"])
+    def test_the_first_of_two_bad_transitions_is_named(self, first, second,
+                                                       message):
+        # The tables are checked whole, so file order, not the order of the
+        # per-event rows (a before g here), must pick the one to name.
+        text = GOOD + "state q2\n" + first + "\n" + second + "\n"
+        with pytest.raises(FormatError) as err:
+            parse_model(text)
+        assert (str(err.value), err.value.line) == (f"line 10: {message}", 10)
+
     def test_legal_transition_endpoints(self):
         text = ("supervisors 1\nevent a\nstate q0 init legal\nstate q1\n"
                 "trans q0 a q1 legal\n")

@@ -3,15 +3,13 @@
 Every text either parses or raises :class:`FormatError` naming a line, and
 whatever parses serializes to a fixed point of parse-then-serialize.  The
 parser also agrees with ``reference_parse_model`` on every text, models and
-errors alike, and the successor table it fills equals the one a model
-rebuilds from ``delta``.  Each
-text is a valid model with a few generated lines inserted; those mix the
-format's own directives with near-misses (numbers ``int`` rejects, names
-with reserved characters, unknown options) and arbitrary text, so a fair
-share of the texts parse.
+errors alike, and builds no pair table: the ``delta`` and
+``legal_transitions`` a parsed model derives when asked equal the
+reference's.  Each text is a valid model with a few generated lines
+inserted; those mix the format's own directives with near-misses (numbers
+``int`` rejects, names with reserved characters, unknown options) and
+arbitrary text, so a fair share of the texts parse.
 """
-
-from dataclasses import replace
 
 import pytest
 
@@ -97,11 +95,13 @@ def _outcome(parse, text):
 
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
 @given(model_texts())
-def test_parse_matches_the_reference_and_fills_the_successor_table(text):
+def test_parse_matches_the_reference_and_derives_its_pairs(text):
     ours = _outcome(parse_model, text)
-    assert ours == _outcome(reference_parse_model, text)
+    theirs = _outcome(reference_parse_model, text)
+    assert ours == theirs
     if isinstance(ours[0], str):  # a FormatError
         return
-    model = ours[0]
-    assert "successors" in vars(model)
-    assert model.successors == replace(model).successors
+    model, reference = ours[0], theirs[0]
+    assert not {"delta", "legal_transitions"} & vars(model).keys()
+    assert model.delta == reference.delta
+    assert model.legal_transitions == reference.legal_transitions

@@ -2,14 +2,15 @@
 
 import pytest
 
-from infobs import (ABSTAIN, DISABLE, ENABLE, ON, PlantSpec,
-                    SupervisionProfile, check, closed_loop,
-                    dfa_equivalent, exhaustive_supervisor_search,
+from infobs import (ABSTAIN, DISABLE, ENABLE, ON, SupervisionProfile, check,
+                    closed_loop, dfa_equivalent, exhaustive_supervisor_search,
                     oracle_condition, oracle_solves, project, synthesize)
 from infobs.errors import EnumerationBound, InstanceTooLarge
 from infobs.oracle import (RULE_ILLEGAL_ENABLED, RULE_LEGAL_DISABLED,
                            RULE_UNCONTROLLABLE)
 from infobs.synthesis import Supervisor, SynthesisResult
+
+from conftest import plant_from_pairs
 
 
 class TestOracleSolves:
@@ -34,9 +35,9 @@ class TestOracleSolves:
 
     def test_everything_legal_with_always_on_supervisors_passes(self, legacy_gap):
         model, _ = legacy_gap
-        all_legal = PlantSpec(model.events, model.states, model.initial,
-                              model.delta, model.states,
-                              frozenset(model.delta.keys()))
+        all_legal = plant_from_pairs(model.events, model.states, model.initial,
+                                     model.delta, model.states,
+                                     frozenset(model.delta.keys()))
         profile = SupervisionProfile((frozenset(),), (model.events,))
         observer = project(all_legal, profile, 0)
         table = {(est, ev): ON for est in observer.states for ev in model.events}
@@ -47,9 +48,9 @@ class TestOracleSolves:
     def test_uncontrollable_escape_rule(self, legacy_gap):
         model, profile = legacy_gap
         result = synthesize(model, profile)
-        weakened = PlantSpec(model.events, model.states, model.initial,
-                             model.delta, model.legal_states,
-                             model.legal_transitions - {("q0", "a")})
+        weakened = plant_from_pairs(model.events, model.states, model.initial,
+                                    model.delta, model.legal_states,
+                                    model.legal_transitions - {("q0", "a")})
         verdict = oracle_solves(weakened, profile, result, 3)
         assert not verdict.ok and verdict.rule == RULE_UNCONTROLLABLE
 
@@ -141,8 +142,7 @@ class TestExhaustiveSearch:
                               closed_loop(model, profile, synthesized)).equal
 
     def test_trivial_single_state_plant(self):
-        model = PlantSpec(frozenset({"a"}), frozenset({"q0"}), "q0", {},
-                          frozenset({"q0"}), frozenset())
+        model = plant_from_pairs({"a"}, {"q0"}, "q0", {}, {"q0"}, ())
         profile = SupervisionProfile((frozenset(),), (frozenset(),))
         assert exhaustive_supervisor_search(model, profile, 2).exists
 

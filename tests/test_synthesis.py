@@ -2,7 +2,7 @@
 
 import pytest
 
-from infobs import (ABSTAIN, ENABLE, OFF, ON, WOFF, WON, Automaton, PlantSpec,
+from infobs import (ABSTAIN, ENABLE, OFF, ON, WOFF, WON, Automaton,
                     SupervisionProfile, closed_loop, default_frame,
                     dfa_equivalent, legal_automaton, load_supervisors,
                     must_disable, must_enable, oracle_solves, plant_automaton,
@@ -15,7 +15,8 @@ from infobs.observation import build_composite
 from infobs.synthesis import (PolicyCase, Supervisor, SynthesisResult, kp_case,
                               policy_truths)
 
-from conftest import automaton_language, world_after, write_peeking_supervisors
+from conftest import (automaton_language, plant_from_pairs, world_after,
+                      write_peeking_supervisors)
 
 
 def policy_at(frame, k, event, i):
@@ -112,9 +113,9 @@ class TestSynthesize:
 
     def test_not_controllable_is_raised_with_the_verdict(self, legacy_gap):
         model, profile = legacy_gap
-        weakened = PlantSpec(model.events, model.states, model.initial,
-                             model.delta, model.legal_states,
-                             model.legal_transitions - {("q0", "a")})
+        weakened = plant_from_pairs(model.events, model.states, model.initial,
+                                    model.delta, model.legal_states,
+                                    model.legal_transitions - {("q0", "a")})
         with pytest.raises(NotControllable) as err:
             synthesize(weakened, profile)
         assert err.value.verdict.counterexample.event == "a"
@@ -141,9 +142,9 @@ class TestClosedLoop:
         # A single supervisor controlling nothing: the loop is the plant,
         # legal or not.
         profile = SupervisionProfile((frozenset(),), (frozenset(),))
-        all_legal = PlantSpec(model.events, model.states, model.initial,
-                              model.delta, model.states,
-                              frozenset(model.delta.keys()))
+        all_legal = plant_from_pairs(model.events, model.states, model.initial,
+                                     model.delta, model.states,
+                                     frozenset(model.delta.keys()))
         result = synthesize(all_legal, profile)
         loop = closed_loop(all_legal, profile, result)
         assert dfa_equivalent(loop, plant_automaton(all_legal)).equal
