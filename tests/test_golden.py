@@ -3,7 +3,9 @@
 Covers ``check`` (text and ``--json``) and ``oracle --mode condition`` for
 every CLI condition on every example model, ``synthesize --json`` on every
 example model (written to a fresh temporary directory, named ``<tmp>`` in
-the case), plus the refused flag combinations.  Regenerate after an
+the case), ``verify`` of what ``synthesize`` wrote for every model that
+synthesizes, twice more with one decision turned wrong, plus the refused flag
+combinations.  Regenerate after an
 intended output change with ``PYTHONPATH=src python tests/test_golden.py``.
 """
 
@@ -27,6 +29,11 @@ REFUSED = (("strong-cp", "--relation", "partial"),
            ("corrected", "--relation", "total"),
            ("extended", "--worlds", "all"))
 TMP = "<tmp>"
+#: Synthesized directories with one decision of supervisor 1 turned wrong:
+#: ``g`` enabled before ``a``, or disabled after it.
+CORRUPTED = {"<tmp, supervisor 1 table[0] on>": (0, "on"),
+             "<tmp, supervisor 1 table[1] off>": (1, "off")}
+UNSOLVABLE = ("diamond_unsolvable.des",)
 
 
 def cases() -> list[tuple[str, ...]]:
@@ -39,6 +46,10 @@ def cases() -> list[tuple[str, ...]]:
             out.append((path.name, "oracle", "--mode", "condition",
                         "--condition", c))
         out.append((path.name, "synthesize", "-o", TMP, "--json"))
+        if path.name not in UNSOLVABLE:
+            out.append((path.name, "verify", "--supervisors", TMP))
+    for corrupted in CORRUPTED:
+        out.append(("legacy_gap.des", "verify", "--supervisors", corrupted))
     for c, flag, value in REFUSED:
         out.append(("legacy_gap.des", "check", "--condition", c, flag, value))
     return out
@@ -47,11 +58,27 @@ def cases() -> list[tuple[str, ...]]:
 def replay(case: tuple[str, ...]) -> dict:
     name, command, *rest = case
     out, err = io.StringIO(), io.StringIO()
-    with tempfile.TemporaryDirectory() as tmp, \
-            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main([command, str(MODELS / name),
-                     *(tmp if arg == TMP else arg for arg in rest)])
+    with tempfile.TemporaryDirectory() as tmp:
+        if command == "verify":
+            write_supervisors(MODELS / name, tmp, CORRUPTED.get(rest[-1]))
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command, str(MODELS / name),
+                         *(tmp if arg == TMP or arg in CORRUPTED else arg
+                           for arg in rest)])
     return {"exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+
+def write_supervisors(model: Path, directory: str, corrupt) -> None:
+    """Synthesize into ``directory``; ``corrupt``, when given, is the
+    ``(entry, decision)`` written over supervisor 1's table."""
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["synthesize", str(model), "-o", directory]) == 0
+    if corrupt is not None:
+        entry, decision = corrupt
+        path = Path(directory) / "supervisor_1.json"
+        data = json.loads(path.read_text(encoding="utf-8"))
+        data["table"][entry]["decision"] = decision
+        path.write_text(json.dumps(data), encoding="utf-8")
 
 
 def case_id(case: tuple[str, ...]) -> str:
