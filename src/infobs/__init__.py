@@ -8,15 +8,14 @@ line by line, and cross-checks everything with brute-force oracles at desk
 scale.
 """
 
-from .automata import (Automaton, EquivalenceVerdict, PlantSpec,
-                       SupervisionProfile, dfa_equivalent, format_word,
-                       language_upto, legal_automaton, plant_automaton,
-                       reachable, validate_model, validate_profile)
+from .automata import (EquivalenceVerdict, PlantSpec, SupervisionProfile,
+                       format_word, reachable, validate_model,
+                       validate_profile)
 from .conditions import (CONDITIONS, Condition, Counterexample, Verdict,
                          can_disable, can_enable, check, default_frame,
                          knowledge_lines, must_disable, must_enable)
-from .errors import (AlphabetMismatch, ControlConflict, EnumerationBound,
-                     FormatError, InfobsError, InstanceTooLarge, ModelError,
+from .errors import (ControlConflict, EnumerationBound, FormatError,
+                     InfobsError, InstanceTooLarge, ModelError,
                      NotControllable, NotInferenceObservable, PolicyAmbiguity,
                      SynthesisError, UndefinedFusion)
 from .explain import Explanation, explain

@@ -12,16 +12,12 @@ so models can be shared freely between threads.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
-from typing import Any, Collection, Iterable, Iterator, Mapping
+from typing import Collection, Iterable, Iterator, Mapping
 
-from .errors import AlphabetMismatch, EnumerationBound, ModelError
-
-#: Ceiling for explicit string enumeration.  Oracles are desk scale by design.
-MAX_WORD_LENGTH = 12
+from .errors import ModelError
 
 #: A word is a tuple of event names; the empty tuple is the empty word.
 Word = tuple[str, ...]
@@ -198,46 +194,6 @@ def walk_words(model: PlantSpec, k: int,
         frontier = nxt
 
 
-def language_upto(model: PlantSpec, k: int, legal_only: bool = False) -> set[Word]:
-    """All words of length at most ``k`` generated by the plant (or its legal
-    part).  The result is prefix closed.
-    """
-    if k < 0:
-        raise ValueError("word length bound must be nonnegative")
-    if k > MAX_WORD_LENGTH:
-        raise EnumerationBound(
-            f"k={k} exceeds the enumeration ceiling {MAX_WORD_LENGTH}")
-    return {word for word, _state in walk_words(model, k, legal_only)}
-
-
-@dataclass(frozen=True)
-class Automaton:
-    """A bare deterministic automaton used for language comparisons.
-
-    States may be any hashable values (state names, estimate sets, composite
-    worlds).  The generated language is the set of words along defined
-    transitions, which is prefix closed; there are no accepting states.
-    """
-
-    events: frozenset[str]
-    initial: Any
-    delta: Mapping[tuple[Any, str], Any]
-
-    def step(self, state: Any, event: str) -> Any | None:
-        return self.delta.get((state, event))
-
-
-def plant_automaton(model: PlantSpec) -> Automaton:
-    return Automaton(model.events, model.initial, model.delta)
-
-
-def legal_automaton(model: PlantSpec) -> Automaton:
-    """The legal subautomaton, generating exactly the legal language."""
-    delta = {(src, ev): model.successors[ev][src]
-             for ev, sources in model.legal_sources.items() for src in sources}
-    return Automaton(model.events, model.initial, delta)
-
-
 @dataclass(frozen=True)
 class EquivalenceVerdict:
     """Outcome of a language comparison.
@@ -252,35 +208,6 @@ class EquivalenceVerdict:
 
     def __bool__(self) -> bool:
         return self.equal
-
-
-def dfa_equivalent(a: Automaton, b: Automaton) -> EquivalenceVerdict:
-    """Decide whether two deterministic automata generate the same language.
-
-    Runs a breadth-first product walk; the first reachable pair where exactly
-    one automaton can extend the word yields the counterexample.
-    """
-    if a.events != b.events:
-        raise AlphabetMismatch(
-            f"alphabets differ: {sorted(a.events)} vs {sorted(b.events)}"
-        )
-    start = (a.initial, b.initial)
-    seen = {start}
-    queue: deque[tuple[tuple[Any, Any], Word]] = deque([(start, ())])
-    while queue:
-        (sa, sb), word = queue.popleft()
-        for ev in sorted(a.events):
-            ta = a.step(sa, ev)
-            tb = b.step(sb, ev)
-            if (ta is None) != (tb is None):
-                return EquivalenceVerdict(False, word + (ev,))
-            if ta is None:
-                continue
-            pair = (ta, tb)
-            if pair not in seen:
-                seen.add(pair)
-                queue.append((pair, word + (ev,)))
-    return EquivalenceVerdict(True)
 
 
 def format_word(word: Iterable[str]) -> str:

@@ -25,10 +25,6 @@ class FormatError(ModelError):
     """Syntax error in a model or supervisor file."""
 
 
-class AlphabetMismatch(InfobsError):
-    """Two automata compared over different alphabets."""
-
-
 class EnumerationBound(InfobsError):
     """A string-enumeration depth exceeds the configured ceiling."""
 

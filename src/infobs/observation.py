@@ -14,8 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Mapping, NamedTuple, Sequence
 
-from .automata import (Automaton, PlantSpec, SupervisionProfile, Word,
-                       closure)
+from .automata import PlantSpec, SupervisionProfile, Word, closure
 from .errors import ModelError
 
 Estimate = frozenset[str]
@@ -57,9 +56,6 @@ class Observer:
         for ev in word:
             est = self.step(est, ev)
         return est
-
-    def automaton(self) -> Automaton:
-        return Automaton(self.observable, self.initial, dict(self.delta))
 
     @cached_property
     def numbered(self) -> tuple[list[Estimate], dict[str, dict[int, int]]]:
@@ -122,7 +118,8 @@ class Composite:
     World k, in breadth-first order (events expanded in name order), is the
     plant state ``plants[k]`` with estimate ``estimates[i][ids[i][k]]`` for
     observer i; ``edges`` lists every move flat as ``source, event, target``
-    by world number.  The composite generates the plant's language, and
+    by world number.  From world 0 the composite generates the plant's
+    language, or the part of it a :func:`compose` filter keeps, and
     ``observers`` are the observers it was composed from.  Past the walk a
     world is its number: :attr:`delta` and :attr:`words` (shortest
     generating words, ties broken lexicographically) are keyed by it and
@@ -130,7 +127,6 @@ class Composite:
     :attr:`worlds`, exist only for output and the oracle.
     """
 
-    events: frozenset[str]
     plants: tuple[str, ...]
     ids: tuple[tuple[int, ...], ...]
     estimates: tuple[list[Estimate], ...]
@@ -159,9 +155,6 @@ class Composite:
             if dst == len(words):
                 words.append(words[src] + (ev,))
         return words
-
-    def automaton(self) -> Automaton:
-        return Automaton(self.events, 0, self.delta)
 
 
 def compose(model: PlantSpec, observers: Sequence[Observer],
@@ -209,8 +202,7 @@ def compose(model: PlantSpec, observers: Sequence[Observer],
                 keys.append(nxt)
             edges += (src, ev, target)
     plants, *ids = zip(*keys)
-    return Composite(model.events, plants, tuple(ids), names, tuple(edges),
-                     tuple(observers))
+    return Composite(plants, tuple(ids), names, tuple(edges), tuple(observers))
 
 
 def build_composite(model: PlantSpec, profile: SupervisionProfile) -> Composite:

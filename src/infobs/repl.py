@@ -96,11 +96,13 @@ class Simulator:
             who = (", ".join(f"supervisor {i + 1}" for i in blockers)
                    or "the default action")
             return [f"refused: {event} is disabled by {who}"]
-        self.word += (event,)
-        self.world = self.frame.composite.delta[(self.world, event)]
+        # A supervisor that cannot follow the event raises before any of
+        # the state moves.
         self.loop_estimates = tuple(
             s.observer.step(est, event)
             for s, est in zip(self.result.supervisors, self.loop_estimates))
+        self.word += (event,)
+        self.world = self.frame.composite.delta[(self.world, event)]
         return [f"stepped on {event}; word so far: {format_word(self.word)}",
                 f"plant state: {self.plant}"]
 

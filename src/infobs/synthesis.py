@@ -17,15 +17,14 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Mapping
 
-from .automata import (Automaton, EquivalenceVerdict, PlantSpec,
-                       SupervisionProfile, dfa_equivalent, legal_automaton)
+from .automata import EquivalenceVerdict, PlantSpec, SupervisionProfile
 from .conditions import check, default_frame, knowledge_lines
 from .errors import (ModelError, NotControllable, NotInferenceObservable,
                      PolicyAmbiguity)
 from .fusion import ABSTAIN, ENABLE, OFF, ON, WOFF, WON, ControlDecision, \
     FusedDecision, fuse
 from .kripke import KripkeFrame
-from .observation import Estimate, Observer, compose
+from .observation import Composite, Estimate, Observer, compose
 
 
 class PolicyCase(Enum):
@@ -179,13 +178,14 @@ def synthesize(model: PlantSpec, profile: SupervisionProfile,
 
 
 def closed_loop(model: PlantSpec, profile: SupervisionProfile,
-                result: SynthesisResult) -> Automaton:
-    """The plant under joint supervision.
+                result: SynthesisResult) -> Composite:
+    """The plant under joint supervision, as the composite of the plant with
+    the supervisors' observers that keeps only the moves supervision allows.
 
-    Walks the plant/observer product; an uncontrollable event follows the
-    plant whenever physically possible, a controlled event additionally needs
-    the fused decision of its controllers to be enable.  Fusion errors
-    propagate; they are unreachable for synthesized supervisors.
+    An uncontrollable event follows the plant whenever physically possible,
+    a controlled event additionally needs the fused decision of its
+    controllers to be enable.  Fusion errors propagate; they are unreachable
+    for synthesized supervisors.
     """
     result.require_fits(profile)
     names = [s.observer.numbered[0] for s in result.supervisors]
@@ -195,12 +195,30 @@ def closed_loop(model: PlantSpec, profile: SupervisionProfile,
                for i in profile.controllers(ev)]
         return not bag or fuse(bag, result.defaults[ev]) is ENABLE
 
-    return compose(model, [s.observer for s in result.supervisors],
-                   enabled).automaton()
+    return compose(model, [s.observer for s in result.supervisors], enabled)
 
 
 def verify_solution(model: PlantSpec, profile: SupervisionProfile,
                     result: SynthesisResult) -> EquivalenceVerdict:
-    """Compare the closed loop against the legal subautomaton."""
-    return dfa_equivalent(closed_loop(model, profile, result),
-                          legal_automaton(model))
+    """Compare the closed loop's language against the legal language.
+
+    Both are generated by deterministic sub-automata of the plant from its
+    initial state, so they are equal exactly when every world the closed loop
+    reaches keeps precisely the plant's legal moves at its plant state.  The
+    first world in walk order that does not, extended by its first differing
+    event in name order, gives a shortest distinguishing word, ties broken
+    lexicographically.
+    """
+    loop = closed_loop(model, profile, result)
+    legal: dict[str, set[str]] = {q: set() for q in model.states}
+    for ev, sources in model.legal_sources.items():
+        for q in sources:
+            legal[q].add(ev)
+    kept: list[set[str]] = [set() for _ in loop.plants]
+    moves = iter(loop.edges)
+    for src, ev, _dst in zip(moves, moves, moves):
+        kept[src].add(ev)
+    for k, plant in enumerate(loop.plants):
+        if differ := kept[k] ^ legal[plant]:
+            return EquivalenceVerdict(False, loop.words[k] + (min(differ),))
+    return EquivalenceVerdict(True)

@@ -10,10 +10,10 @@ from pathlib import Path
 
 import pytest
 
-from infobs import (And, Const, Implies, Know, Not, Or, PlantSpec,
-                    SupervisionProfile, Var, any_knows, default_frame,
-                    language_upto, legal, load_model, possible, synthesize)
-from infobs.automata import validate_profile
+from infobs import (And, Const, EquivalenceVerdict, Implies, Know, Not, Or,
+                    PlantSpec, SupervisionProfile, Var, any_knows,
+                    default_frame, legal, load_model, possible, synthesize)
+from infobs.automata import validate_profile, walk_words
 from infobs.errors import FormatError, ModelError, SynthesisError
 from infobs.modelfile import MAX_SUPERVISORS, _parse_indices
 from infobs.observation import World
@@ -27,6 +27,7 @@ SOUND_SEED = 20240602
 TINY_SEED = 20240603
 FORMULA_SEED = 20240604
 N3_SEED = 20240605
+CORRUPT_SEED = 20240606
 
 
 @pytest.fixture(scope="session")
@@ -418,21 +419,56 @@ def estimate_groups(model: PlantSpec, profile: SupervisionProfile, i: int,
     every composite configuration, which holds for the desk-scale fixtures.
     """
     groups: dict = defaultdict(set)
-    for word in language_upto(model, k):
+    for word, _state in walk_words(model, k):
         proj = tuple(ev for ev in word if ev in profile.observable[i])
         groups[proj].add(run_word(model, word))
     return {proj: frozenset(states) for proj, states in groups.items()}
 
 
-def automaton_language(automaton, k: int) -> set:
-    """Enumerate an automaton's words up to length ``k`` (test-side only)."""
+def legal_rows(model: PlantSpec) -> tuple:
+    """The legal subautomaton as an ``(initial, delta)`` pair, ``delta``
+    keyed by ``(state, event)``."""
+    return model.initial, {(q, ev): model.successors[ev][q]
+                           for ev, sources in model.legal_sources.items()
+                           for q in sources}
+
+
+def reference_equivalent(a: tuple, b: tuple) -> EquivalenceVerdict:
+    """Language equivalence of two deterministic automata, each an
+    ``(initial, delta)`` pair, by a breadth-first walk over state pairs.
+
+    The first reached pair where exactly one side can extend the word gives
+    the counterexample: a shortest word in exactly one language, ties broken
+    by event name.
+    """
+    (a0, da), (b0, db) = a, b
+    events = sorted({ev for _src, ev in (*da, *db)})
+    seen = {(a0, b0)}
+    queue = deque([((a0, b0), ())])
+    while queue:
+        (sa, sb), word = queue.popleft()
+        for ev in events:
+            ta, tb = da.get((sa, ev)), db.get((sb, ev))
+            if (ta is None) != (tb is None):
+                return EquivalenceVerdict(False, word + (ev,))
+            if ta is not None and (ta, tb) not in seen:
+                seen.add((ta, tb))
+                queue.append(((ta, tb), word + (ev,)))
+    return EquivalenceVerdict(True)
+
+
+def automaton_language(automaton: tuple, k: int) -> set:
+    """The words of length at most ``k`` along an ``(initial, delta)``
+    automaton's moves."""
+    initial, delta = automaton
+    events = sorted({ev for _src, ev in delta})
     words = {()}
-    frontier = [(automaton.initial, ())]
+    frontier = [(initial, ())]
     for _ in range(k):
         nxt = []
         for state, word in frontier:
-            for ev in sorted(automaton.events):
-                target = automaton.step(state, ev)
+            for ev in events:
+                target = delta.get((state, ev))
                 if target is None:
                     continue
                 extended = word + (ev,)

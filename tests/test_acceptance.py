@@ -9,16 +9,15 @@ import time
 
 import pytest
 
-from infobs import (Automaton, DISABLE, ENABLE, OFF, ON, WOFF, WON, ABSTAIN,
-                    check, closed_loop, default_frame,
-                    dfa_equivalent, exhaustive_supervisor_search, fuse,
-                    fuse_legacy_pair, guard_transform, legal_automaton,
-                    oracle_solves, parse_model, serialize_model, synthesize,
-                    verify_solution)
+from infobs import (DISABLE, ENABLE, OFF, ON, WOFF, WON, ABSTAIN, check,
+                    closed_loop, default_frame, exhaustive_supervisor_search,
+                    fuse, fuse_legacy_pair, guard_transform, oracle_solves,
+                    parse_model, serialize_model, synthesize, verify_solution)
 from infobs.errors import ControlConflict, UndefinedFusion
 from infobs.kripke import Know
 
-from conftest import FORMULA_SEED, MODELS, random_formula
+from conftest import (FORMULA_SEED, MODELS, legal_rows, random_formula,
+                      reference_equivalent)
 
 
 def report(number: int, label: str) -> None:
@@ -61,10 +60,10 @@ def test_criterion_02_legacy_gap_phenomenon(legacy_gap, legacy_gap_frame):
     assert check(frame, model, profile, "corrected").holds
     assert check(frame, model, profile, "controllability").holds
     result = synthesize(model, profile, frame)
-    loop = closed_loop(model, profile, result)
-    expected = Automaton(model.events, 0, {(0, "a"): 1, (1, "g"): 2})
-    assert dfa_equivalent(loop, expected).equal
-    assert dfa_equivalent(loop, legal_automaton(model)).equal
+    loop = (0, closed_loop(model, profile, result).delta)
+    expected = (0, {(0, "a"): 1, (1, "g"): 2})
+    assert reference_equivalent(loop, expected).equal
+    assert reference_equivalent(loop, legal_rows(model)).equal
     assert oracle_solves(model, profile, result, 6).ok
     assert time.perf_counter() - started < 1.0
     report(2, "illegal-branch gap fixture")
@@ -95,15 +94,15 @@ def test_criterion_03_conditional_bets_separation(conditional_bets,
                  for s, est in zip(result.supervisors, initial_estimates)]
     assert decisions == [WOFF, WOFF]
     assert fuse(decisions, result.defaults["g"]) is DISABLE
-    loop = closed_loop(model, profile, result)
+    loop = closed_loop(model, profile, result).delta
     for word in (("a",), ("b",), ("a", "b"), ("b", "a")):
-        here = loop.initial
+        here = 0
         for ev in word:
-            here = loop.step(here, ev)
+            here = loop.get((here, ev))
         assert here is not None
-        assert loop.step(here, "g") is not None, f"g must be enabled after {word}"
-    assert loop.step(loop.initial, "g") is None
-    assert dfa_equivalent(loop, legal_automaton(model)).equal
+        assert (here, "g") in loop, f"g must be enabled after {word}"
+    assert (0, "g") not in loop
+    assert reference_equivalent((0, loop), legal_rows(model)).equal
     assert oracle_solves(model, profile, result, 6).ok
     assert time.perf_counter() - started < 1.0
     report(3, "conditional-decision fixture separations")

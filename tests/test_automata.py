@@ -1,17 +1,17 @@
-"""Plant model, reachability, language enumeration, language equivalence."""
+"""Plant model, reachability, language enumeration, and the test-side
+language-equivalence reference."""
 
 from dataclasses import replace
 
 import pytest
 
-from infobs import (Automaton, dfa_equivalent, language_upto,
-                    legal_automaton, plant_automaton, reachable,
-                    validate_model)
+from infobs import reachable, validate_model
 from infobs.automata import walk_words
-from infobs.errors import AlphabetMismatch, EnumerationBound, ModelError
+from infobs.errors import ModelError
 from infobs.randgen import instance_stream
 
-from conftest import automaton_language, plant_from_pairs, run_word
+from conftest import (automaton_language, legal_rows, plant_from_pairs,
+                      reference_equivalent, run_word)
 
 
 def chain(states, moves, legal_states=None, legal_moves=None, events=None):
@@ -69,71 +69,68 @@ class TestReachable:
         assert reachable(model, legal_only=True) == frozenset({"q0", "q1", "q5"})
 
 
-class TestLanguageUpto:
+def language(model, k, legal_only=False):
+    return {word for word, _state in walk_words(model, k, legal_only)}
+
+
+class TestWalkWords:
     def test_legal_language_of_the_gap_model(self, legacy_gap):
         model, _ = legacy_gap
-        assert language_upto(model, 3, legal_only=True) == {
+        assert language(model, 3, legal_only=True) == {
             (), ("a",), ("a", "g")}
 
     def test_full_language_of_the_gap_model(self, legacy_gap):
         model, _ = legacy_gap
-        assert language_upto(model, 3) == {
+        assert language(model, 3) == {
             (), ("a",), ("g",), ("a", "g"), ("g", "a"), ("g", "a", "g")}
 
     def test_zero_bound_gives_the_empty_word(self, legacy_gap):
         model, _ = legacy_gap
-        assert language_upto(model, 0) == {()}
-
-    def test_bound_above_the_ceiling_is_rejected(self, legacy_gap):
-        model, _ = legacy_gap
-        with pytest.raises(EnumerationBound):
-            language_upto(model, 13)
+        assert language(model, 0) == {()}
 
     def test_prefix_closed_and_legal_subsets_plant(self):
         for model, _profile in instance_stream(11, 40):
             for k in (0, 2, 4):
-                words = language_upto(model, k)
+                words = language(model, k)
                 assert all(w[:-1] in words for w in words if w)
-                assert language_upto(model, k, legal_only=True) <= words
+                assert language(model, k, legal_only=True) <= words
 
     def test_walk_is_shortest_first_in_event_order(self):
         for model, _profile in instance_stream(13, 30):
-            for legal_only in (False, True):
+            for legal_only, rows in ((False, (model.initial, model.delta)),
+                                     (True, legal_rows(model))):
                 walked = list(walk_words(model, 4, legal_only))
                 words = [word for word, _state in walked]
                 assert words == sorted(set(words), key=lambda w: (len(w), w))
-                assert set(words) == language_upto(model, 4, legal_only)
+                assert set(words) == automaton_language(rows, 4)
                 for word, state in walked:
                     assert state == run_word(model, word)
 
 
-class TestDfaEquivalent:
+class TestReferenceEquivalent:
     def test_identity(self, legacy_gap):
         model, _ = legacy_gap
-        a = plant_automaton(model)
-        assert dfa_equivalent(a, a).equal
+        a = (model.initial, model.delta)
+        assert reference_equivalent(a, a).equal
 
     def test_shortest_distinguishing_word(self, legacy_gap):
         # Legal language is {(), a, ag}; drop the trailing g.
         model, _ = legacy_gap
-        small = Automaton(model.events, 0, {(0, "a"): 1})
-        verdict = dfa_equivalent(legal_automaton(model), small)
+        small = (0, {(0, "a"): 1})
+        verdict = reference_equivalent(legal_rows(model), small)
         assert not verdict.equal
         assert verdict.counterexample == ("a", "g")
 
     def test_state_count_does_not_matter(self):
-        three = Automaton(frozenset({"a", "g"}), 0, {(0, "a"): 1, (1, "g"): 2})
-        four = Automaton(frozenset({"a", "g"}), 0,
-                         {(0, "a"): 1, (1, "g"): 3})  # state 2 skipped
-        assert dfa_equivalent(three, four).equal
+        three = (0, {(0, "a"): 1, (1, "g"): 2})
+        four = (0, {(0, "a"): 1, (1, "g"): 3})  # state 2 skipped
+        assert reference_equivalent(three, four).equal
 
-    def test_symmetry_and_alphabet_mismatch(self, legacy_gap):
+    def test_symmetry(self, legacy_gap):
         model, _ = legacy_gap
-        small = Automaton(model.events, 0, {(0, "a"): 1})
-        assert (dfa_equivalent(legal_automaton(model), small).equal
-                == dfa_equivalent(small, legal_automaton(model)).equal)
-        with pytest.raises(AlphabetMismatch):
-            dfa_equivalent(small, Automaton(frozenset({"a"}), 0, {}))
+        small = (0, {(0, "a"): 1})
+        assert (reference_equivalent(legal_rows(model), small)
+                == reference_equivalent(small, legal_rows(model)))
 
     def test_agrees_with_bounded_enumeration(self):
         instances = list(instance_stream(23, 30, max_events=2))
@@ -141,9 +138,9 @@ class TestDfaEquivalent:
             if m1.events != m2.events:
                 continue
             k = len(m1.states) + len(m2.states)
-            a, b = plant_automaton(m1), plant_automaton(m2)
+            a, b = (m1.initial, m1.delta), (m2.initial, m2.delta)
             same_words = automaton_language(a, k) == automaton_language(b, k)
-            assert dfa_equivalent(a, b).equal == same_words
+            assert reference_equivalent(a, b).equal == same_words
 
 
 class TestValidation:

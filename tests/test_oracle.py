@@ -3,14 +3,14 @@
 import pytest
 
 from infobs import (ABSTAIN, DISABLE, ENABLE, ON, SupervisionProfile, check,
-                    closed_loop, dfa_equivalent, exhaustive_supervisor_search,
+                    closed_loop, exhaustive_supervisor_search,
                     oracle_condition, oracle_solves, project, synthesize)
 from infobs.errors import EnumerationBound, InstanceTooLarge
 from infobs.oracle import (RULE_ILLEGAL_ENABLED, RULE_LEGAL_DISABLED,
                            RULE_UNCONTROLLABLE)
 from infobs.synthesis import Supervisor, SynthesisResult
 
-from conftest import plant_from_pairs
+from conftest import plant_from_pairs, reference_equivalent
 
 
 class TestOracleSolves:
@@ -138,8 +138,9 @@ class TestExhaustiveSearch:
                                              len(model.states) + 1)
         assert found.exists
         synthesized = synthesize(model, profile)
-        assert dfa_equivalent(closed_loop(model, profile, found.result),
-                              closed_loop(model, profile, synthesized)).equal
+        assert reference_equivalent(
+            (0, closed_loop(model, profile, found.result).delta),
+            (0, closed_loop(model, profile, synthesized).delta)).equal
 
     def test_trivial_single_state_plant(self):
         model = plant_from_pairs({"a"}, {"q0"}, "q0", {}, {"q0"}, ())

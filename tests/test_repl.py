@@ -1,15 +1,21 @@
 """Scripted sessions through the interactive simulator."""
 
 import io
+from dataclasses import replace
 
 from infobs import default_frame, synthesize
 from infobs.repl import run_simulation
+from infobs.synthesis import Supervisor, SynthesisResult
 
 
-def session(model_profile, *commands):
+def session(model_profile, *commands, edit=None):
+    """The simulator's output for ``commands``; ``edit``, when given, turns
+    the synthesized result into the one the session runs."""
     model, profile = model_profile
     frame = default_frame(model, profile)
     result = synthesize(model, profile, frame)
+    if edit is not None:
+        result = edit(result)
     out = io.StringIO()
     run_simulation(model, profile, result, frame,
                    io.StringIO("\n".join(commands) + "\n"), out)
@@ -65,3 +71,19 @@ class TestSimulator:
         # After ab both supervisors abstain and the event default blocks g.
         text = session(forced_disable, "step a", "step b", "step g", "quit")
         assert "refused: g is disabled by the default action" in text
+
+    def test_a_step_a_supervisor_cannot_follow_changes_nothing(self, legacy_gap):
+        # Supervisor 1 has lost its observer moves, so it cannot follow `a`.
+        def lose_moves(result):
+            first, *rest = result.supervisors
+            lost = Supervisor(replace(first.observer, delta={}), first.table)
+            return SynthesisResult((lost, *rest), result.defaults,
+                                   result.provenance)
+
+        text = session(legacy_gap, "estimates", "events", "step a",
+                       "estimates", "events", "quit", edit=lose_moves)
+        lines = text.splitlines()[1:-1]
+        error = lines.index("error: observer 1 cannot follow observable"
+                            " event 'a' from estimate ['q0', 'q2']")
+        assert lines[:error] == lines[error + 1:]
+        assert "a: possible; uncontrollable; allowed" in lines

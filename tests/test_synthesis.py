@@ -1,21 +1,25 @@
 """The knowledge-based policy, supervisor tables, closed loop, verification."""
 
+import random
+import re
+
 import pytest
 
-from infobs import (ABSTAIN, ENABLE, OFF, ON, WOFF, WON, Automaton,
-                    SupervisionProfile, closed_loop, default_frame,
-                    dfa_equivalent, legal_automaton, load_supervisors,
-                    must_disable, must_enable, oracle_solves, plant_automaton,
-                    project_policy, synthesize, verify_solution)
-from infobs.errors import (ModelError, NotControllable, NotInferenceObservable,
-                           PolicyAmbiguity)
+from infobs import (ABSTAIN, ENABLE, OFF, ON, WOFF, WON, SupervisionProfile,
+                    closed_loop, default_frame, load_supervisors,
+                    must_disable, must_enable, oracle_solves, project_policy,
+                    synthesize, verify_solution)
+from infobs.errors import (InfobsError, ModelError, NotControllable,
+                           NotInferenceObservable, PolicyAmbiguity)
 from infobs.fusion import ControlConflict, UndefinedFusion
 from infobs.kripke import KripkeFrame
-from infobs.observation import build_composite
+from infobs.observation import build_composite, project
 from infobs.synthesis import (PolicyCase, Supervisor, SynthesisResult, kp_case,
                               policy_truths)
 
-from conftest import (automaton_language, plant_from_pairs, world_after,
+from conftest import (CORRUPT_SEED, automaton_language, legal_rows,
+                      plant_from_pairs,
+                      reference_equivalent, world_after,
                       write_peeking_supervisors)
 
 
@@ -132,10 +136,10 @@ class TestClosedLoop:
     def test_gap_model_closed_loop_language(self, legacy_gap):
         model, profile = legacy_gap
         result = synthesize(model, profile)
-        loop = closed_loop(model, profile, result)
+        loop = (0, closed_loop(model, profile, result).delta)
         assert automaton_language(loop, 4) == {(), ("a",), ("a", "g")}
-        expected = Automaton(model.events, 0, {(0, "a"): 1, (1, "g"): 2})
-        assert dfa_equivalent(loop, expected).equal
+        expected = (0, {(0, "a"): 1, (1, "g"): 2})
+        assert reference_equivalent(loop, expected).equal
 
     def test_uncontrolled_plant_runs_free(self, legacy_gap):
         model, _ = legacy_gap
@@ -147,13 +151,14 @@ class TestClosedLoop:
                                      frozenset(model.delta.keys()))
         result = synthesize(all_legal, profile)
         loop = closed_loop(all_legal, profile, result)
-        assert dfa_equivalent(loop, plant_automaton(all_legal)).equal
+        assert reference_equivalent((0, loop.delta),
+                                    (all_legal.initial, all_legal.delta)).equal
 
     def test_bets_model_closed_loop_is_the_legal_language(self, conditional_bets):
         model, profile = conditional_bets
         result = synthesize(model, profile)
-        loop = closed_loop(model, profile, result)
-        assert dfa_equivalent(loop, legal_automaton(model)).equal
+        loop = (0, closed_loop(model, profile, result).delta)
+        assert reference_equivalent(loop, legal_rows(model)).equal
         words = automaton_language(loop, 3)
         assert ("a", "g") in words and ("b", "g") in words
         assert ("g",) not in words
@@ -178,6 +183,45 @@ class TestVerifySolution:
         verdict = verify_solution(model, profile, corrupted)
         assert not verdict.equal
         assert verdict.counterexample == ("g",)
+
+    def test_the_first_differing_event_by_name_ends_the_word(self):
+        # Nobody controls anything, so both illegal moves at q0 stay.
+        model = plant_from_pairs({"a", "b"}, {"q0", "q1", "q2"}, "q0",
+                                 {("q0", "b"): "q2", ("q0", "a"): "q1"},
+                                 {"q0"}, ())
+        profile = SupervisionProfile((frozenset(),), (frozenset(),))
+        free = SynthesisResult((Supervisor(project(model, profile, 0), {}),),
+                               {}, {})
+        verdict = verify_solution(model, profile, free)
+        assert verdict.counterexample == ("a",)
+        assert verdict == reference_equivalent(
+            (0, closed_loop(model, profile, free).delta), legal_rows(model))
+
+    def test_agrees_with_the_pair_walk_on_corrupted_tables(self,
+                                                           synthesized_instances):
+        # About 30% of the cells get another decision.  Closed loops the
+        # fusion rule cannot run raise the same error from both paths.
+        rng = random.Random(CORRUPT_SEED)
+        decisions = (ON, OFF, WON, WOFF, ABSTAIN)
+        failing = 0
+        for model, profile, result in synthesized_instances:
+            corrupted = SynthesisResult(tuple(
+                Supervisor(s.observer, {
+                    key: rng.choice([d for d in decisions if d is not old])
+                    if rng.random() < 0.3 else old
+                    for key, old in s.table.items()})
+                for s in result.supervisors), result.defaults, {})
+            try:
+                loop = closed_loop(model, profile, corrupted)
+            except InfobsError as exc:
+                with pytest.raises(type(exc), match=re.escape(str(exc))):
+                    verify_solution(model, profile, corrupted)
+                continue
+            verdict = verify_solution(model, profile, corrupted)
+            assert verdict == reference_equivalent((0, loop.delta),
+                                                   legal_rows(model))
+            failing += not verdict.equal
+        assert failing > 0
 
 
     def test_a_supervisor_observing_a_hidden_event_does_not_fit(self, diamond,
