@@ -18,8 +18,7 @@ from infobs.synthesis import (PolicyCase, Supervisor, SynthesisResult, kp_case,
                               policy_truths)
 
 from conftest import (CORRUPT_SEED, automaton_language, legal_rows,
-                      plant_from_pairs,
-                      reference_equivalent, world_after,
+                      plant_from_pairs, reference_equivalent, world_after,
                       write_peeking_supervisors)
 
 
