@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from .errors import ModelError
 from .fusion import ControlDecision, FusedDecision, fuse
@@ -53,14 +54,15 @@ class Explanation:
         return out
 
 
-def explain(frame: KripkeFrame, result: SynthesisResult, k: int,
-            event: str) -> Explanation:
-    """Explain the fused decision for ``event`` at world number ``k``.
+def explain(frame: KripkeFrame, result: SynthesisResult, k: int, event: str,
+            estimates: Sequence[int]) -> Explanation:
+    """Explain the fused decision for ``event`` at world number ``k``, where
+    supervisor i's own observer is at estimate id ``estimates[i]``.
 
-    The knowledge truths always come from the policy; the decision shown is
-    the supervisor table's entry where one resolves (it can differ from the
-    policy only for hand-edited tables), so the fused value matches what the
-    closed loop would do.
+    The knowledge truths always come from the policy at world ``k``; the
+    decision shown is the supervisor table's entry at its own estimate where
+    one resolves (it can differ from the policy only for hand-edited files),
+    so the fused value matches what the closed loop would do.
     """
     w = frame.composite.world(k)
     controllers = frame.profile.controllers(event)
@@ -70,15 +72,14 @@ def explain(frame: KripkeFrame, result: SynthesisResult, k: int,
     for i in controllers:
         truths = policy_truths(frame, k, event, i)
         policy_decision, case = kp_case(*truths)
-        decision = policy_decision
-        if i < len(result.supervisors):
-            try:
-                decision = result.supervisors[i].decide(w.estimates[i], event)
-            except ModelError:
-                pass
+        supervisor = result.supervisors[i]
+        try:
+            decision = supervisor.decide(estimates[i], event)
+        except ModelError:
+            decision = policy_decision
         views.append(SupervisorView(
             supervisor=i,
-            estimate=w.estimates[i],
+            estimate=supervisor.observer.states[estimates[i]],
             class_members=tuple(map(frame.composite.world,
                                     frame.class_of(k, i, "partial"))),
             truths=truths,

@@ -331,7 +331,7 @@ class KripkeFrame:
                 found = [legal for c in self._classes_of(i, "total")
                          if (legal := c & self.legal_bits)]
             else:
-                groups: list[list[int]] = [[] for _ in self.composite.estimates[i]]
+                groups: list[list[int]] = [[] for _ in self.composite.observers[i].states]
                 for k, e in enumerate(self.composite.ids[i]):
                     groups[e].append(k)
                 found = [_bits(ks) for ks in groups if ks]

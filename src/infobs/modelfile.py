@@ -22,7 +22,7 @@ from .automata import (PlantSpec, SupervisionProfile, reachable,
                        validate_profile)
 from .errors import FormatError
 from .fusion import ControlDecision, FusedDecision
-from .observation import Estimate, Observer
+from .observation import Observer
 from .synthesis import PolicyCase, Supervisor, SynthesisResult
 
 _STATE_OPTIONS = frozenset({"init", "legal"})
@@ -237,30 +237,28 @@ def load_model(path: str | Path) -> tuple[PlantSpec, SupervisionProfile]:
 # ---------------------------------------------------------------------------
 # Supervisor files (JSON, one per supervisor, plus a defaults file)
 
-def _estimate_json(est: Estimate) -> list[str]:
-    return sorted(est)
-
-
 def supervisor_to_json(supervisor: Supervisor, result: SynthesisResult) -> dict:
+    """One supervisor's file, each estimate named by its sorted plant states."""
     obs = supervisor.observer
+    names = [sorted(est) for est in obs.states]
     table = []
-    for (est, ev), decision in sorted(supervisor.table.items(),
-                                      key=lambda kv: (sorted(kv[0][0]), kv[0][1])):
-        case = result.provenance.get((supervisor.index, est, ev))
-        entry = {"state": _estimate_json(est), "event": ev,
-                 "decision": decision.value}
+    for (k, ev), decision in sorted(supervisor.table.items(),
+                                    key=lambda kv: (names[kv[0][0]], kv[0][1])):
+        entry = {"state": names[k], "event": ev, "decision": decision.value}
+        case = result.provenance.get((supervisor.index, k, ev))
         if case is not None:
             entry["case"] = case.value
         table.append(entry)
     return {
         "supervisor": supervisor.index + 1,
         "observable": sorted(obs.observable),
-        "initial": _estimate_json(obs.initial),
-        "states": sorted((_estimate_json(e) for e in obs.states)),
+        "initial": names[0],
+        "states": sorted(names),
         "transitions": [
-            {"src": _estimate_json(src), "event": ev, "dst": _estimate_json(dst)}
-            for (src, ev), dst in sorted(obs.delta.items(),
-                                         key=lambda kv: (sorted(kv[0][0]), kv[0][1]))
+            {"src": src, "event": ev, "dst": dst}
+            for src, ev, dst in sorted((names[k], ev, names[j])
+                                       for ev, row in obs.moves.items()
+                                       for k, j in row.items())
         ],
         "table": table,
     }
@@ -312,40 +310,46 @@ def load_supervisors(directory: str | Path) -> SynthesisResult:
 
 
 def _supervisor_from_json(data, provenance: dict) -> Supervisor:
-    """One supervisor, with every estimate it names resolved to the stored
-    object in ``states``, as :func:`~infobs.observation.project` stores them."""
+    """One supervisor, its estimates numbered as :func:`~infobs.observation.project`
+    numbers them: ``initial`` is 0, then ``states`` in file order."""
     if type(data["supervisor"]) is not int:  # bool is an int subclass
         raise ValueError(f"supervisor must be an integer, not {data['supervisor']!r}")
     index = data["supervisor"] - 1
-    stored: dict[Estimate, Estimate] = {}
-    for k, raw in enumerate(_list(data, "states")):
-        est = _names(raw, f"states[{k}]")
-        stored.setdefault(est, est)
+    observable = _names(data["observable"], "observable")
+    states = {_names(raw, f"states[{k}]"): None
+              for k, raw in enumerate(_list(data, "states"))}
+    initial = _names(data["initial"], "initial")
+    if initial not in states:
+        raise ValueError(f"initial {sorted(initial)} is not among states")
+    ids = {est: k for k, est in enumerate({initial: None} | states)}
 
-    def state(value, what: str) -> Estimate:
+    def state(value, what: str) -> int:
         est = _names(value, what)
-        if est not in stored:
+        if est not in ids:
             raise ValueError(f"{what} {sorted(est)} is not among states")
-        return stored[est]
+        return ids[est]
 
-    def add(table: dict, key: tuple[Estimate, str], value, what: str) -> None:
+    def add(table: dict, key, k: int, ev, value, what: str) -> None:
         if key in table:
-            raise ValueError(f"{what} repeats state {sorted(key[0])} and event {key[1]!r}")
+            raise ValueError(f"{what} repeats state {sorted(names[k])} and event {ev!r}")
         table[key] = value
 
-    delta: dict[tuple[Estimate, str], Estimate] = {}
+    names = tuple(ids)
+    moves: dict[str, dict[int, int]] = {ev: {} for ev in observable}
     for k, t in enumerate(_list(data, "transitions")):
-        add(delta, (state(t["src"], f"transitions[{k}].src"), t["event"]),
-            state(t["dst"], f"transitions[{k}].dst"), f"transitions[{k}]")
-    observer = Observer(index, _names(data["observable"], "observable"),
-                        state(data["initial"], "initial"), frozenset(stored), delta)
-    table: dict[tuple[Estimate, str], ControlDecision] = {}
+        what = f"transitions[{k}]"
+        src, ev = state(t["src"], f"{what}.src"), t["event"]
+        dst = state(t["dst"], f"{what}.dst")
+        if ev not in moves:
+            raise ValueError(f"{what} is on event {ev!r}, which is not observable")
+        add(moves[ev], src, src, ev, dst, what)
+    table: dict[tuple[int, str], ControlDecision] = {}
     for k, entry in enumerate(_list(data, "table")):
         key = (state(entry["state"], f"table[{k}].state"), entry["event"])
-        add(table, key, ControlDecision(entry["decision"]), f"table[{k}]")
+        add(table, key, *key, ControlDecision(entry["decision"]), f"table[{k}]")
         if "case" in entry:
             provenance[(index, *key)] = PolicyCase(entry["case"])
-    return Supervisor(observer, table)
+    return Supervisor(Observer(index, observable, names, moves), table)
 
 
 def _list(data, key: str) -> list:

@@ -24,49 +24,40 @@ Estimate = frozenset[str]
 class Observer:
     """Determinized view of the plant for one supervisor.
 
-    States are estimates (closed under unobservable moves); transitions are
-    labelled only with the supervisor's observable events.  The observer
-    generates exactly the projection of the plant language.
+    States are estimates (closed under unobservable moves), numbered by the
+    order in which :func:`project` discovers them: ``states[k]`` is estimate
+    ``k`` and the initial estimate is 0.  ``moves`` holds one ``id -> id``
+    table per observable event.  The observer generates exactly the
+    projection of the plant language.
     """
 
     supervisor: int
     observable: frozenset[str]
-    initial: Estimate
-    states: frozenset[Estimate]
-    delta: Mapping[tuple[Estimate, str], Estimate]
+    states: tuple[Estimate, ...]
+    moves: Mapping[str, Mapping[int, int]]
 
-    def step(self, estimate: Estimate, event: str) -> Estimate:
-        """Advance on one *plant* event; unobservable events do not move."""
+    def step(self, k: int, event: str) -> int:
+        """Advance estimate ``k`` on one *plant* event; unobservable events
+        do not move."""
         if event not in self.observable:
-            return estimate
-        target = self.delta.get((estimate, event))
+            return k
+        target = self.moves.get(event, {}).get(k)
         if target is None:
-            raise self.stuck(estimate, event)
+            raise self.stuck(k, event)
         return target
 
-    def stuck(self, estimate: Estimate, event: str) -> ModelError:
-        """The error for an observable event with no move from ``estimate``."""
+    def stuck(self, k: int, event: str) -> ModelError:
+        """The error for an observable event with no move from estimate ``k``."""
         return ModelError(
             f"observer {self.supervisor + 1} cannot follow observable event "
-            f"{event!r} from estimate {sorted(estimate)}"
+            f"{event!r} from estimate {sorted(self.states[k])}"
         )
 
-    def run(self, word: Sequence[str]) -> Estimate:
-        est = self.initial
+    def run(self, word: Sequence[str]) -> int:
+        k = 0
         for ev in word:
-            est = self.step(est, ev)
-        return est
-
-    @cached_property
-    def numbered(self) -> tuple[list[Estimate], dict[str, dict[int, int]]]:
-        """Estimates by id in order of first appearance in ``delta`` (the
-        initial one 0), and an ``id -> id`` table per observable event."""
-        ids: dict[Estimate, int] = {self.initial: 0}
-        moves: dict[str, dict[int, int]] = {ev: {} for ev in self.observable}
-        for (est, ev), dst in self.delta.items():
-            if ev in moves:
-                moves[ev][ids.setdefault(est, len(ids))] = ids.setdefault(dst, len(ids))
-        return list(ids), moves
+            k = self.step(k, ev)
+        return k
 
 
 def project(model: PlantSpec, profile: SupervisionProfile, i: int) -> Observer:
@@ -74,30 +65,31 @@ def project(model: PlantSpec, profile: SupervisionProfile, i: int) -> Observer:
     if not 0 <= i < profile.n:
         raise ModelError(f"no supervisor with index {i}")
     observable = profile.observable[i]
-    moves = model.successors
-    silent = [moves[ev] for ev in model.events - observable]
+    succ = model.successors
+    silent = [succ[ev] for ev in model.events - observable]
     initial = frozenset(closure({model.initial}, silent))
-    # ``stored`` maps each estimate to its first stored object, so equal
-    # estimates are one object and lookups keyed on them compare by
-    # identity.  It also maps each step set to its closure, so each distinct
-    # step set is closed once; a step set equal to an estimate is closed.
-    stored = {initial: initial}
+    # ``ids`` numbers each estimate, and maps each step set to the id of its
+    # closure, so each distinct step set is closed once; a step set equal to
+    # an estimate is closed, so it already has the right id.
+    ids = {initial: 0}
     states = [initial]
-    delta: dict[tuple[Estimate, str], Estimate] = {}
-    events = [(ev, moves[ev].keys(), moves[ev].get) for ev in sorted(observable)]
-    for est in states:  # grows while it is read
-        for ev, sources, step_from in events:
+    moves: dict[str, dict[int, int]] = {ev: {} for ev in observable}
+    events = [(succ[ev].keys(), succ[ev].get, moves[ev]) for ev in sorted(observable)]
+    for src, est in enumerate(states):  # grows while it is read
+        for sources, step_from, row in events:
             if sources.isdisjoint(est):  # no state of est can take ev
                 continue
             step = frozenset(map(step_from, est))  # None where ev is not possible
-            target = stored.get(step)
+            target = ids.get(step)
             if target is None:
                 found = frozenset(closure(step - {None}, silent))
-                target = stored[step] = stored.setdefault(found, found)
-                if target is found:
+                target = ids.get(found)
+                if target is None:
+                    target = ids[found] = len(states)
                     states.append(found)
-            delta[(est, ev)] = target
-    return Observer(i, observable, initial, frozenset(states), delta)
+                ids[step] = target
+            row[src] = target
+    return Observer(i, observable, tuple(states), moves)
 
 
 class World(NamedTuple):
@@ -116,8 +108,8 @@ class Composite:
     """Reachable product of the plant with every observer, as columns.
 
     World k, in breadth-first order (events expanded in name order), is the
-    plant state ``plants[k]`` with estimate ``estimates[i][ids[i][k]]`` for
-    observer i; ``edges`` lists every move flat as ``source, event, target``
+    plant state ``plants[k]`` with estimate ``observers[i].states[ids[i][k]]``
+    for observer i; ``edges`` lists every move flat as ``source, event, target``
     by world number.  From world 0 the composite generates the plant's
     language, or the part of it a :func:`compose` filter keeps, and
     ``observers`` are the observers it was composed from.  Past the walk a
@@ -129,16 +121,16 @@ class Composite:
 
     plants: tuple[str, ...]
     ids: tuple[tuple[int, ...], ...]
-    estimates: tuple[list[Estimate], ...]
     edges: tuple[int | str, ...]
     observers: tuple[Observer, ...]
 
     def world(self, k: int) -> World:
-        return World(self.plants[k], tuple(n[c[k]] for n, c in zip(self.estimates, self.ids)))
+        return World(self.plants[k], tuple(o.states[c[k]]
+                                           for o, c in zip(self.observers, self.ids)))
 
     @cached_property
     def worlds(self) -> tuple[World, ...]:
-        rows = zip(*(map(n.__getitem__, c) for n, c in zip(self.estimates, self.ids)))
+        rows = zip(*(map(o.states.__getitem__, c) for o, c in zip(self.observers, self.ids)))
         return tuple(map(World, self.plants, rows))
 
     @cached_property
@@ -166,18 +158,19 @@ def compose(model: PlantSpec, observers: Sequence[Observer],
     :func:`project`, the plant state is always a member of every estimate.
 
     The walk runs on ``(plant state, estimate id, ...)`` keys over each
-    observer's :attr:`Observer.numbered` tables, and each move steps only the
-    observers that see its event.  The keys become the composite's columns.
+    observer's :attr:`Observer.moves`, and each move steps only the observers
+    whose ``observable`` holds its event.  The keys become the composite's
+    columns.
     ``enabled(key, event)``, when given, drops every move it rejects, which
     turns the walk into a closed loop under supervision.
     """
     if len(observers) < 1:
         raise ModelError("the composite needs at least one observer")
-    names, tables = zip(*(o.numbered for o in observers))
     succ = model.successors
     # Per event, the key position and id table of each observer seeing it.
-    plan = [(ev, succ[ev], [(j, t[ev]) for j, t in enumerate(tables, start=1)
-                            if ev in t])
+    plan = [(ev, succ[ev], [(j, o.moves.get(ev, {}))
+                            for j, o in enumerate(observers, start=1)
+                            if ev in o.observable])
             for ev in sorted(model.events)]
     keys = [(model.initial, *(0 for _ in observers))]
     index = {keys[0]: 0}
@@ -193,7 +186,7 @@ def compose(model: PlantSpec, observers: Sequence[Observer],
             for j, step in steps:
                 k = step.get(key[j])
                 if k is None:
-                    raise observers[j - 1].stuck(names[j - 1][key[j]], ev)
+                    raise observers[j - 1].stuck(key[j], ev)
                 nxt[j] = k
             nxt = tuple(nxt)
             target = index.get(nxt)
@@ -202,7 +195,7 @@ def compose(model: PlantSpec, observers: Sequence[Observer],
                 keys.append(nxt)
             edges += (src, ev, target)
     plants, *ids = zip(*keys)
-    return Composite(plants, tuple(ids), names, tuple(edges), tuple(observers))
+    return Composite(plants, tuple(ids), tuple(edges), tuple(observers))
 
 
 def build_composite(model: PlantSpec, profile: SupervisionProfile) -> Composite:

@@ -28,7 +28,7 @@ from .errors import (ControlConflict, EnumerationBound, InstanceTooLarge,
                      UndefinedFusion)
 from .fusion import (ABSTAIN, DISABLE, ENABLE, ControlDecision, FusedDecision,
                      fuse)
-from .observation import Estimate, build_composite, project
+from .observation import build_composite, project
 from .synthesis import Supervisor, SynthesisResult
 
 #: Depth ceiling for string-level replay.
@@ -253,16 +253,16 @@ def exhaustive_supervisor_search(model: PlantSpec, profile: SupervisionProfile,
             if state in model.successors[ev] and state not in model.legal_sources[ev]:
                 return SearchResult(False)
 
-    tables: dict[int, dict[tuple[Estimate, str], ControlDecision]] = {
+    tables: dict[int, dict[tuple[int, str], ControlDecision]] = {
         i: {} for i in range(profile.n)}
     defaults: dict[str, FusedDecision] = {}
 
     for ev in sorted(sigma_c):
         ctrl = profile.controllers(ev)
-        # Requirement per estimate tuple: words with the same controller
+        # Requirement per estimate-id tuple: words with the same controller
         # estimates always fuse identically, so conflicting requirements on
         # one tuple sink every table.
-        required: dict[tuple[Estimate, ...], FusedDecision] = {}
+        required: dict[tuple[int, ...], FusedDecision] = {}
         for word, state in words:
             if state not in model.successors[ev]:
                 continue
@@ -271,9 +271,7 @@ def exhaustive_supervisor_search(model: PlantSpec, profile: SupervisionProfile,
             if required.setdefault(key, want) is not want:
                 return SearchResult(False)
 
-        touched = sorted({(i, est) for key in required
-                          for i, est in zip(ctrl, key)},
-                         key=lambda cell: (cell[0], sorted(cell[1])))
+        touched = sorted({(i, e) for key in required for i, e in zip(ctrl, key)})
         assignment, dft = _search_event(required, touched, ctrl)
         if assignment is None:
             return SearchResult(False)
@@ -281,8 +279,8 @@ def exhaustive_supervisor_search(model: PlantSpec, profile: SupervisionProfile,
         for i, obs in enumerate(observers):
             if ev not in profile.controllable[i]:
                 continue
-            for est in obs.states:
-                tables[i][(est, ev)] = assignment.get((i, est), ABSTAIN)
+            for e in range(len(obs.states)):
+                tables[i][(e, ev)] = assignment.get((i, e), ABSTAIN)
 
     supervisors = tuple(Supervisor(obs, tables[i]) for i, obs in enumerate(observers))
     return SearchResult(True, SynthesisResult(supervisors, defaults, {}))
@@ -295,8 +293,7 @@ def _search_event(required, touched, ctrl):
             assignment = dict(zip(touched, combo))
             ok = True
             for key, want in required.items():
-                bag = [assignment.get((i, est), ABSTAIN)
-                       for i, est in zip(ctrl, key)]
+                bag = [assignment.get((i, e), ABSTAIN) for i, e in zip(ctrl, key)]
                 try:
                     fused = fuse(bag, dft)
                 except (ControlConflict, UndefinedFusion):

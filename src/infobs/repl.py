@@ -22,7 +22,7 @@ _HELP = """commands:
 
 
 class Simulator:
-    """Tracks the plant state, the supervisors' estimates, and the word so far."""
+    """Tracks the plant state, the supervisors' estimate ids, and the word so far."""
 
     def __init__(self, model: PlantSpec, profile: SupervisionProfile,
                  result: SynthesisResult, frame: KripkeFrame):
@@ -36,7 +36,7 @@ class Simulator:
     def reset(self) -> None:
         self.word: tuple[str, ...] = ()
         self.world = 0  # the composite's world number
-        self.loop_estimates = tuple(s.observer.initial for s in self.result.supervisors)
+        self.loop_estimates = (0,) * len(self.result.supervisors)
 
     # -- queries -----------------------------------------------------------
 
@@ -109,13 +109,12 @@ class Simulator:
     def why(self, event: str) -> list[str]:
         if event not in self.model.events:
             return [f"unknown event {event!r}"]
-        return explain(self.frame, self.result, self.world, event).lines()
+        return explain(self.frame, self.result, self.world, event,
+                       self.loop_estimates).lines()
 
     def describe_estimates(self) -> list[str]:
-        out = []
-        for i, est in enumerate(self.loop_estimates):
-            out.append(f"supervisor {i + 1}: " + "{" + ",".join(sorted(est)) + "}")
-        return out
+        return [f"supervisor {s.index + 1}: " + "{" + ",".join(sorted(s.observer.states[k])) + "}"
+                for s, k in zip(self.result.supervisors, self.loop_estimates)]
 
 
 def run_simulation(model: PlantSpec, profile: SupervisionProfile,

@@ -6,7 +6,7 @@ whenever the condition holds the fused decisions come out right by the same
 case analysis that proves the condition sufficient.
 
 A supervisor is a Moore machine: its observer automaton plus a decision
-table over (estimate, controlled event).  Decisions therefore depend only on
+table over (estimate id, controlled event).  Decisions therefore depend only on
 what the supervisor has observed, which is what feasibility and validity
 demand.
 """
@@ -24,7 +24,7 @@ from .errors import (ModelError, NotControllable, NotInferenceObservable,
 from .fusion import ABSTAIN, ENABLE, OFF, ON, WOFF, WON, ControlDecision, \
     FusedDecision, fuse
 from .kripke import KripkeFrame
-from .observation import Composite, Estimate, Observer, compose
+from .observation import Composite, Observer, compose
 
 
 class PolicyCase(Enum):
@@ -46,46 +46,52 @@ class PolicyCase(Enum):
 class Supervisor:
     """Moore-machine supervisor: observer plus decision table.
 
-    The table is total on the observer's reachable estimates crossed with the
-    supervisor's controlled events.
+    The table is keyed by ``(estimate id, event)`` and is total on the
+    observer's estimates crossed with the supervisor's controlled events.
     """
 
     observer: Observer
-    table: Mapping[tuple[Estimate, str], ControlDecision]
+    table: Mapping[tuple[int, str], ControlDecision]
 
     @property
     def index(self) -> int:
         return self.observer.supervisor
 
-    def decide(self, estimate: Estimate, event: str) -> ControlDecision:
+    def decide(self, k: int, event: str) -> ControlDecision:
+        """The decision for ``event`` at estimate id ``k``."""
         try:
-            return self.table[(estimate, event)]
+            return self.table[(k, event)]
         except KeyError:
             raise ModelError(
                 f"supervisor {self.index + 1} has no decision for event {event!r}"
-                f" at estimate {sorted(estimate)}"
+                f" at estimate {sorted(self.observer.states[k])}"
             ) from None
 
 
 @dataclass(frozen=True)
 class SynthesisResult:
-    """Supervisors, the default partition, and per-entry provenance."""
+    """Supervisors, the default partition, and per-entry provenance keyed
+    by ``(supervisor, estimate id, event)``."""
 
     supervisors: tuple[Supervisor, ...]
     defaults: Mapping[str, FusedDecision]
-    provenance: Mapping[tuple[int, Estimate, str], PolicyCase]
+    provenance: Mapping[tuple[int, int, str], PolicyCase]
     frame: KripkeFrame | None = field(default=None, compare=False, repr=False)
 
     def require_fits(self, profile: SupervisionProfile) -> None:
         """Raise :class:`ModelError` unless there is one supervisor per
-        profile entry, each observing only events the profile lets it see,
-        and a default for every controlled event."""
+        profile entry, each observing only events the profile lets it see
+        and deciding only events it controls, and a default for every
+        controlled event."""
         if len(self.supervisors) != profile.n:
             raise ModelError("one supervisor per profile entry is required")
         for i, s in enumerate(self.supervisors):
             if hidden := s.observer.observable - profile.observable[i]:
                 raise ModelError(f"supervisor {i + 1} observes events hidden"
                                  " from it: " + ", ".join(sorted(hidden)))
+            if foreign := {ev for _k, ev in s.table} - profile.controllable[i]:
+                raise ModelError(f"supervisor {i + 1} decides events it does"
+                                 " not control: " + ", ".join(sorted(map(str, foreign))))
         missing = profile.sigma_c - self.defaults.keys()
         if missing:
             raise ModelError("no default for controlled events: "
@@ -118,8 +124,8 @@ def kp_case(ke: bool, kd: bool, kce: bool, kcd: bool) -> tuple[ControlDecision, 
 
 
 def project_policy(frame: KripkeFrame, i: int, event: str
-                   ) -> dict[Estimate, tuple[ControlDecision, PolicyCase]]:
-    """Push the world-level policy down onto observer estimates.
+                   ) -> dict[int, tuple[ControlDecision, PolicyCase]]:
+    """Push the world-level policy down onto observer estimate ids.
 
     The policy depends only on knowledge, and knowledge is constant across an
     accessibility class, so all legal worlds sharing an estimate must agree;
@@ -127,7 +133,6 @@ def project_policy(frame: KripkeFrame, i: int, event: str
     Estimates reached only by illegal words get the abstain the policy
     produces at such worlds.
     """
-    names = frame.composite.estimates[i]
     table: dict[int, tuple[ControlDecision, PolicyCase]] = {}
     fallback: dict[int, tuple[ControlDecision, PolicyCase]] = {}
     for k, e in enumerate(frame.composite.ids[i]):
@@ -140,12 +145,11 @@ def project_policy(frame: KripkeFrame, i: int, event: str
             table[e] = (decision, case)
         elif known[0] is not decision:
             raise PolicyAmbiguity(
-                f"estimate {sorted(names[e])} of supervisor {i + 1} maps to both "
-                f"{known[0]} and {decision} for event {event!r}"
+                f"estimate {sorted(frame.composite.observers[i].states[e])} of"
+                f" supervisor {i + 1} maps to both {known[0]} and {decision}"
+                f" for event {event!r}"
             )
-    for e, entry in fallback.items():
-        table.setdefault(e, entry)
-    return {names[e]: entry for e, entry in table.items()}
+    return fallback | table
 
 
 def synthesize(model: PlantSpec, profile: SupervisionProfile,
@@ -164,13 +168,13 @@ def synthesize(model: PlantSpec, profile: SupervisionProfile,
     if not observability.holds:
         raise NotInferenceObservable(observability)
     supervisors = []
-    provenance: dict[tuple[int, Estimate, str], PolicyCase] = {}
+    provenance: dict[tuple[int, int, str], PolicyCase] = {}
     for i in range(profile.n):
-        table: dict[tuple[Estimate, str], ControlDecision] = {}
+        table: dict[tuple[int, str], ControlDecision] = {}
         for ev in sorted(profile.controllable[i]):
-            for est, (decision, case) in project_policy(frame, i, ev).items():
-                table[(est, ev)] = decision
-                provenance[(i, est, ev)] = case
+            for e, (decision, case) in project_policy(frame, i, ev).items():
+                table[(e, ev)] = decision
+                provenance[(i, e, ev)] = case
         supervisors.append(Supervisor(frame.composite.observers[i], table))
     assert observability.defaults is not None
     return SynthesisResult(tuple(supervisors), dict(observability.defaults),
@@ -188,10 +192,9 @@ def closed_loop(model: PlantSpec, profile: SupervisionProfile,
     for synthesized supervisors.
     """
     result.require_fits(profile)
-    names = [s.observer.numbered[0] for s in result.supervisors]
 
     def enabled(key: tuple, ev: str) -> bool:
-        bag = [result.supervisors[i].decide(names[i][key[i + 1]], ev)
+        bag = [result.supervisors[i].decide(key[i + 1], ev)
                for i in profile.controllers(ev)]
         return not bag or fuse(bag, result.defaults[ev]) is ENABLE
 

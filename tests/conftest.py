@@ -228,16 +228,82 @@ def world_after(frame, word) -> int:
     return k
 
 
+def estimate_moves(observer) -> dict:
+    """The observer's moves on observed events, keyed by ``(estimate,
+    event)`` and read off its ids."""
+    names = observer.states
+    return {(names[src], ev): names[dst]
+            for ev, row in observer.moves.items() if ev in observer.observable
+            for src, dst in row.items()}
+
+
+def estimate_table(supervisor) -> dict:
+    """The supervisor's decisions keyed by ``(estimate, event)``."""
+    names = supervisor.observer.states
+    return {(names[k], ev): decision
+            for (k, ev), decision in supervisor.table.items()}
+
+
+def reference_project(model: PlantSpec, profile: SupervisionProfile, i: int):
+    """The subset construction keyed by estimates throughout.
+
+    Closures are grown state by state over ``model.delta``; estimates are
+    expanded breadth first, events in name order.  Returns ``(initial,
+    delta)``, ``delta`` keyed by ``(estimate, event)`` in the order the
+    moves are found.
+    """
+    observable = profile.observable[i]
+    hidden = model.events - observable
+
+    def close(states) -> frozenset:
+        out, todo = set(states), list(states)
+        while todo:
+            q = todo.pop()
+            for ev in hidden:
+                dst = model.delta.get((q, ev))
+                if dst is not None and dst not in out:
+                    out.add(dst)
+                    todo.append(dst)
+        return frozenset(out)
+
+    initial = close({model.initial})
+    delta = {}
+    seen = {initial}
+    queue = deque([initial])
+    while queue:
+        est = queue.popleft()
+        for ev in sorted(observable):
+            step = {model.delta[(q, ev)] for q in est if (q, ev) in model.delta}
+            if not step:
+                continue
+            dst = delta[(est, ev)] = close(step)
+            if dst not in seen:
+                seen.add(dst)
+                queue.append(dst)
+    return initial, delta
+
+
 def reference_compose(model: PlantSpec, observers, enabled=None):
     """The composite walk keyed by :class:`World` throughout.
 
-    Each move is looked up in ``model.delta`` and ``Observer.step`` and
-    each target hashed as a ``World``; no successor tables, no ids.
-    Returns ``(initial, worlds, delta, witnesses)``.
+    Each move is looked up in ``model.delta`` and each observer's
+    :func:`estimate_moves`, and each target hashed as a ``World``; no
+    successor tables, no ids.  Returns ``(initial, worlds, delta,
+    witnesses)``.
     """
     if len(observers) < 1:
         raise ModelError("the composite needs at least one observer")
-    initial = World(model.initial, tuple(o.initial for o in observers))
+    tables = [estimate_moves(o) for o in observers]
+
+    def step(i, est, ev):
+        if ev not in observers[i].observable:
+            return est
+        if (est, ev) not in tables[i]:
+            raise ModelError(f"observer {i + 1} cannot follow observable event"
+                             f" {ev!r} from estimate {sorted(est)}")
+        return tables[i][(est, ev)]
+
+    initial = World(model.initial, tuple(o.states[0] for o in observers))
     worlds = [initial]
     seen = {initial}
     delta = {}
@@ -249,7 +315,7 @@ def reference_compose(model: PlantSpec, observers, enabled=None):
             dst = model.delta.get((world.plant, ev))
             if dst is None or (enabled is not None and not enabled(world, ev)):
                 continue
-            estimates = tuple(o.step(est, ev) for o, est in zip(observers, world.estimates))
+            estimates = tuple(step(i, est, ev) for i, est in enumerate(world.estimates))
             target = World(dst, estimates)
             delta[(world, ev)] = target
             if target not in seen:

@@ -89,9 +89,7 @@ def test_criterion_03_conditional_bets_separation(conditional_bets,
     assert check(mirror_frame, mirror_model, mirror_profile, "extended").holds
 
     result = synthesize(model, profile, frame)
-    initial_estimates = [s.observer.initial for s in result.supervisors]
-    decisions = [s.table[(est, "g")]
-                 for s, est in zip(result.supervisors, initial_estimates)]
+    decisions = [s.table[(0, "g")] for s in result.supervisors]
     assert decisions == [WOFF, WOFF]
     assert fuse(decisions, result.defaults["g"]) is DISABLE
     loop = closed_loop(model, profile, result).delta

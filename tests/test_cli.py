@@ -315,6 +315,20 @@ class TestInputHardening:
             assert code == 2 and not out
             assert "supervisor 1 observes events hidden from it: b" in err
 
+    def test_a_decision_on_an_uncontrolled_event_exits_two(self, capsys, sup_dir):
+        # Supervisor 1 of the gap model controls g only; a decision on the
+        # uncontrollable a would otherwise be ignored without a word.
+        path = sup_dir / "supervisor_1.json"
+        data = json.loads(path.read_text())
+        data["table"].append({"state": data["states"][0], "event": "a",
+                              "decision": "off"})
+        path.write_text(json.dumps(data))
+        for argv in (("verify", GAP, "--supervisors", str(sup_dir)),
+                     ("oracle", GAP, "--mode", "solve", "--supervisors", str(sup_dir))):
+            code, out, err = run(capsys, *argv)
+            assert code == 2 and not out
+            assert "supervisor 1 decides events it does not control: a" in err
+
     def test_depth_flag_in_condition_mode_is_refused(self, capsys):
         code, out, err = run(capsys, "oracle", GAP, "--mode", "condition",
                              "--depth", "3")

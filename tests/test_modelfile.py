@@ -1,5 +1,6 @@
 """Model file parsing/serialization and supervisor file round trips."""
 
+import json
 import os
 import subprocess
 import sys
@@ -11,7 +12,7 @@ from infobs import (load_supervisors, parse_model, save_supervisors,
                     serialize_model, synthesize)
 from infobs.errors import FormatError
 
-from conftest import MODELS
+from conftest import MODELS, estimate_moves, estimate_table
 
 
 GOOD = """\
@@ -146,23 +147,45 @@ class TestSupervisorFiles:
         loaded = load_supervisors(tmp_path)
         assert loaded.defaults == result.defaults
         for original, back in zip(result.supervisors, loaded.supervisors):
-            assert back.table == original.table
-            assert back.observer.initial == original.observer.initial
-            assert back.observer.delta == original.observer.delta
-        assert loaded.provenance == result.provenance
+            assert estimate_table(back) == estimate_table(original)
+            assert back.observer.states[0] == original.observer.states[0]
+            assert estimate_moves(back.observer) == estimate_moves(original.observer)
+        assert ({(i, loaded.supervisors[i].observer.states[k], ev): case
+                 for (i, k, ev), case in loaded.provenance.items()}
+                == {(i, result.supervisors[i].observer.states[k], ev): case
+                    for (i, k, ev), case in result.provenance.items()})
 
     def test_loaded_estimates_are_the_stored_ones(self, conditional_bets,
                                                   tmp_path):
-        # As in ``project``: every estimate a loaded supervisor names is one
-        # of the objects in its observer's ``states``.
+        # The loader numbers the estimates ``initial`` first, then
+        # ``states`` in file order, and every id a loaded supervisor names
+        # is one of them.
         save_supervisors(synthesize(*conditional_bets), tmp_path)
         for sup in load_supervisors(tmp_path).supervisors:
+            data = json.loads((tmp_path / f"supervisor_{sup.index + 1}.json")
+                              .read_text())
             obs = sup.observer
-            stored = {id(est) for est in obs.states}
-            named = [obs.initial, *obs.delta.values(),
-                     *(est for est, _ev in obs.delta),
-                     *(est for est, _ev in sup.table)]
-            assert all(id(est) in stored for est in named)
+            assert [sorted(est) for est in obs.states] == [
+                data["initial"], *(s for s in data["states"] if s != data["initial"])]
+            named = {k for row in obs.moves.values() for k in (*row, *row.values())}
+            named |= {k for k, _ev in sup.table}
+            assert named <= set(range(len(obs.states)))
+
+    def test_a_transition_on_an_unobserved_event_is_refused(self,
+                                                             conditional_bets,
+                                                             tmp_path):
+        save_supervisors(synthesize(*conditional_bets), tmp_path)
+        path = tmp_path / "supervisor_1.json"
+        data = json.loads(path.read_text())
+        assert "b" not in data["observable"]
+        data["transitions"].append({"src": data["states"][1], "event": "b",
+                                    "dst": data["states"][0]})
+        path.write_text(json.dumps(data))
+        k = len(data["transitions"]) - 1
+        with pytest.raises(FormatError,
+                           match=rf"transitions\[{k}\] is on event 'b', which is not"
+                                 " observable"):
+            load_supervisors(tmp_path)
 
     def test_missing_directory_content_is_reported(self, tmp_path):
         with pytest.raises(FormatError, match="no supervisor"):

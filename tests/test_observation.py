@@ -11,7 +11,8 @@ from infobs.errors import ModelError
 from infobs.observation import build_composite
 from infobs.randgen import instance_stream
 
-from conftest import estimate_groups, reference_compose, reference_equivalent
+from conftest import (estimate_groups, estimate_moves, reference_compose,
+                      reference_equivalent, reference_project)
 
 
 def assert_matches_reference(composite, model, observers, enabled=None):
@@ -20,7 +21,7 @@ def assert_matches_reference(composite, model, observers, enabled=None):
     ``World``, which becomes its key through the observers' ids."""
     by_key = enabled
     if enabled is not None:
-        ids = [{est: e for e, est in enumerate(o.numbered[0])} for o in observers]
+        ids = [{est: e for e, est in enumerate(o.states)} for o in observers]
 
         def enabled(world, ev):
             key = (world.plant, *map(dict.__getitem__, ids, world.estimates))
@@ -57,25 +58,26 @@ class TestProject:
         model, profile = legacy_gap
         observer = project(model, profile, 0)
         oracle = estimate_groups(model, profile, 0)
-        assert observer.states == frozenset(oracle.values())
-        assert observer.initial == oracle[()] == frozenset({"q0", "q2"})
+        assert set(observer.states) == set(oracle.values())
+        assert observer.states[0] == oracle[()] == frozenset({"q0", "q2"})
         assert oracle[("a",)] == frozenset({"q1", "q3", "q4", "q5"})
-        assert observer.delta == {
+        assert estimate_moves(observer) == {
             (frozenset({"q0", "q2"}), "a"): frozenset({"q1", "q3", "q4", "q5"})}
+        assert observer.moves == {"a": {0: 1}}
 
     def test_full_observation_mirrors_the_plant(self, legacy_gap):
         model, _ = legacy_gap
         profile = SupervisionProfile((model.events,), (frozenset(),))
         observer = project(model, profile, 0)
-        assert observer.states == frozenset(frozenset({q}) for q in reachable(model))
-        assert reference_equivalent((observer.initial, observer.delta),
+        assert set(observer.states) == {frozenset({q}) for q in reachable(model)}
+        assert reference_equivalent((observer.states[0], estimate_moves(observer)),
                                     (model.initial, model.delta)).equal
 
     def test_blind_observer_is_a_single_estimate(self, legacy_gap):
         model, profile = legacy_gap
         observer = project(model, profile, 1)
-        assert observer.states == frozenset({frozenset(reachable(model))})
-        assert observer.delta == {}
+        assert observer.states == (frozenset(reachable(model)),)
+        assert observer.moves == {}
 
     def test_every_estimate_is_closed_under_unobservable_moves(self):
         for model, profile in instance_stream(31, 40):
@@ -89,15 +91,17 @@ class TestProject:
                             assert dst is None or dst in est
 
     def test_transition_targets_are_the_stored_estimates(self):
-        # Equal estimates are one object, so lookups keyed on them hit by
-        # identity instead of comparing plant-state sets.
+        # Each estimate is stored once, and every move runs between the ids
+        # of stored estimates, one row per observable event.
         for model, profile in instance_stream(32, 40):
             for i in range(profile.n):
                 observer = project(model, profile, i)
-                stored = {id(est) for est in observer.states}
-                assert all(id(target) in stored
-                           for target in observer.delta.values())
-                assert all(id(est) in stored for est, _ev in observer.delta)
+                ids = range(len(observer.states))
+                assert len(set(observer.states)) == len(ids)
+                assert observer.moves.keys() == profile.observable[i]
+                assert all(src in ids and dst in ids
+                           for row in observer.moves.values()
+                           for src, dst in row.items())
 
 
 class TestCompose:
@@ -176,7 +180,7 @@ class TestComposeAgainstTheReference:
     def test_a_missing_observer_move_raises_the_step_error(self, legacy_gap):
         model, profile = legacy_gap
         observers = [project(model, profile, i) for i in range(profile.n)]
-        observers[0] = replace(observers[0], delta={})
+        observers[0] = replace(observers[0], moves={})
         with pytest.raises(ModelError) as ours:
             compose(model, observers)
         with pytest.raises(ModelError) as theirs:
@@ -186,11 +190,13 @@ class TestComposeAgainstTheReference:
 
     def test_moves_on_unobserved_events_are_ignored(self, legacy_gap):
         # Supervisor 2 observes nothing, so a stray transition on g in its
-        # observer never moves it, as in ``Observer.step``.
+        # observer, to an estimate id it does not have, never moves it, as
+        # in ``Observer.step``.
         model, profile = legacy_gap
         observers = [project(model, profile, i) for i in range(profile.n)]
         blind = observers[1]
-        observers[1] = replace(blind, delta={(blind.initial, "g"): frozenset({"q9"})})
+        observers[1] = replace(blind, moves={"g": {0: 1}})
+        assert observers[1].step(0, "g") == 0
         assert_matches_reference(compose(model, observers), model, observers)
 
     def test_a_check_does_not_build_the_world_keyed_delta(self, legacy_gap):
@@ -244,33 +250,36 @@ class TestComposeAgainstTheReference:
                 assert witnesses[ce.conflict_world] == ce.conflict_string
 
 
-def estimate_moves(observer):
-    """The observer's moves on observed events, read off its id view."""
-    names, moves = observer.numbered
-    return {(names[src], ev): names[dst]
-            for ev, table in moves.items() for src, dst in table.items()}
-
-
 class TestObserverIds:
     @pytest.mark.parametrize("stream", ["n2_instances", "n3_instances"])
-    def test_the_view_is_the_one_read_off_delta(self, request, stream):
+    def test_ids_number_the_reference_estimates_by_first_appearance(self, request,
+                                                                     stream):
         for model, profile, _frame in request.getfixturevalue(stream):
             for i in range(profile.n):
                 observer = project(model, profile, i)
-                names, _moves = observer.numbered
-                assert names[0] == observer.initial
-                assert set(names) == observer.states
-                assert estimate_moves(observer) == observer.delta
+                initial, delta = reference_project(model, profile, i)
+                names = list(dict.fromkeys(
+                    [initial, *(est for (src, _ev), dst in delta.items()
+                                for est in (src, dst))]))
+                assert observer.states == tuple(names)
+                ids = {est: k for k, est in enumerate(names)}
+                moves = {ev: {} for ev in profile.observable[i]}
+                for (src, ev), dst in delta.items():
+                    moves[ev][ids[src]] = ids[dst]
+                assert observer.moves == moves
+                assert estimate_moves(observer) == delta
 
-    def test_a_replaced_observer_derives_its_view(self, legacy_gap):
+    def test_an_observable_event_without_a_row_cannot_be_followed(self, legacy_gap):
         model, profile = legacy_gap
         observer = project(model, profile, 0)
-        assert observer.numbered[1] == {"a": {0: 1}}
-        emptied = replace(observer, delta={})
-        assert "numbered" not in vars(emptied)
-        assert emptied.numbered == ([observer.initial], {"a": {}})
+        assert observer.run(("g", "a", "g")) == 1
         stray = replace(observer, observable=frozenset({"a", "g"}))
-        assert stray.numbered == (observer.numbered[0], {"a": {0: 1}, "g": {}})
+        with pytest.raises(ModelError, match="cannot follow observable event 'g'"):
+            stray.step(0, "g")
+        with pytest.raises(ModelError) as ours:
+            compose(model, [stray, project(model, profile, 1)])
+        assert str(ours.value) == ("observer 1 cannot follow observable event 'g'"
+                                   " from estimate ['q0', 'q2']")
 
     def test_closed_loops_over_reloaded_supervisors(self, tmp_path,
                                                     synthesized_instances):
@@ -278,7 +287,6 @@ class TestObserverIds:
             save_supervisors(result, tmp_path / str(k))
             loaded = load_supervisors(tmp_path / str(k))
             observers = [s.observer for s in loaded.supervisors]
-            assert not any("numbered" in vars(o) for o in observers)
             ours = closed_loop(model, profile, loaded)
             theirs = closed_loop(model, profile, result)
             assert ours.delta == theirs.delta

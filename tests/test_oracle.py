@@ -23,8 +23,9 @@ class TestOracleSolves:
         model, profile = legacy_gap
         result = synthesize(model, profile)
         sup1 = result.supervisors[0]
+        assert sup1.observer.states[0] == frozenset({"q0", "q2"})
         table = dict(sup1.table)
-        table[(frozenset({"q0", "q2"}), "g")] = ON
+        table[(0, "g")] = ON
         corrupted = SynthesisResult(
             (Supervisor(sup1.observer, table), result.supervisors[1]),
             result.defaults, {})
@@ -40,7 +41,7 @@ class TestOracleSolves:
                                      frozenset(model.delta.keys()))
         profile = SupervisionProfile((frozenset(),), (model.events,))
         observer = project(all_legal, profile, 0)
-        table = {(est, ev): ON for est in observer.states for ev in model.events}
+        table = {(k, ev): ON for k in range(len(observer.states)) for ev in model.events}
         result = SynthesisResult((Supervisor(observer, table),),
                                  {ev: ENABLE for ev in model.events}, {})
         assert oracle_solves(all_legal, profile, result, 6).ok

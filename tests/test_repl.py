@@ -76,7 +76,7 @@ class TestSimulator:
         # Supervisor 1 has lost its observer moves, so it cannot follow `a`.
         def lose_moves(result):
             first, *rest = result.supervisors
-            lost = Supervisor(replace(first.observer, delta={}), first.table)
+            lost = Supervisor(replace(first.observer, moves={}), first.table)
             return SynthesisResult((lost, *rest), result.defaults,
                                    result.provenance)
 
@@ -87,3 +87,23 @@ class TestSimulator:
                             " event 'a' from estimate ['q0', 'q2']")
         assert lines[:error] == lines[error + 1:]
         assert "a: possible; uncontrollable; allowed" in lines
+
+    def test_why_explains_the_decisions_the_simulator_fuses(self, conditional_bets):
+        # Supervisor 1's observer is edited to stay put on `a`, so after `a`
+        # it still decides at its initial estimate while the frame's world
+        # has moved on; `why` must fuse the same bag as `events`.
+        def stay_put(result):
+            first, *rest = result.supervisors
+            assert [sorted(est) for est in first.observer.states] == [
+                ["s0", "s2", "t0", "t2"], ["s1", "s3", "t1", "t3"]]
+            still = replace(first.observer, moves={"a": {0: 0, 1: 1}})
+            return SynthesisResult((Supervisor(still, first.table), *rest),
+                                   result.defaults, result.provenance)
+
+        text = session(conditional_bets, "step a", "events", "why g", "quit",
+                       edit=stay_put)
+        assert ("g: possible; fused disable (supervisor 1, supervisor 2);"
+                " blocked") in text
+        assert "supervisor 1: estimate {s0,s2,t0,t2}" in text
+        assert "decision: woff (from table)" in text
+        assert "fused(woff, woff) with default enable -> disable" in text

@@ -52,16 +52,18 @@ class TestPolicy:
 class TestProjectPolicy:
     def test_bets_model_supervisor_one_table(self, conditional_bets_frame):
         table = project_policy(conditional_bets_frame, 0, "g")
+        names = conditional_bets_frame.composite.observers[0].states
         by_initial = {frozenset({"s0", "s2", "t0", "t2"}): WOFF,
                       frozenset({"s1", "s3", "t1", "t3"}): ON}
-        assert {est: decision for est, (decision, _case) in table.items()} == by_initial
+        assert {names[e]: decision for e, (decision, _case) in table.items()} == by_initial
 
     def test_full_observation_table_mirrors_transition_legality(self, legacy_gap):
         model, _ = legacy_gap
         profile = SupervisionProfile((model.events,), (frozenset({"g"}),))
         frame = default_frame(model, profile)
-        table = {next(iter(est)): decision
-                 for est, (decision, _case) in project_policy(frame, 0, "g").items()}
+        names = frame.composite.observers[0].states
+        table = {next(iter(names[e])): decision
+                 for e, (decision, _case) in project_policy(frame, 0, "g").items()}
         assert table["q0"] is OFF      # possible but illegal
         assert table["q1"] is ON       # legal
         assert table["q5"] is ABSTAIN  # impossible
@@ -95,8 +97,9 @@ class TestSynthesize:
         model, profile = legacy_gap
         result = synthesize(model, profile, legacy_gap_frame)
         sup1, sup2 = result.supervisors
-        assert sup1.table[(frozenset({"q0", "q2"}), "g")] is OFF
-        assert sup1.table[(frozenset({"q1", "q3", "q4", "q5"}), "g")] is ON
+        assert sup1.observer.states == (frozenset({"q0", "q2"}),
+                                        frozenset({"q1", "q3", "q4", "q5"}))
+        assert sup1.table == {(0, "g"): OFF, (1, "g"): ON}
         assert set(sup2.table.values()) == {ABSTAIN}
         assert result.defaults == {"g": ENABLE}
 
@@ -174,8 +177,9 @@ class TestVerifySolution:
         model, profile = legacy_gap
         result = synthesize(model, profile)
         sup1 = result.supervisors[0]
+        assert sup1.observer.states[0] == frozenset({"q0", "q2"})
         table = dict(sup1.table)
-        table[(frozenset({"q0", "q2"}), "g")] = ON
+        table[(0, "g")] = ON
         corrupted = SynthesisResult(
             (Supervisor(sup1.observer, table), result.supervisors[1]),
             result.defaults, result.provenance)
@@ -268,7 +272,7 @@ class TestCouplingInvariants:
                         continue
                     if not any(frame.eval(k, line, "partial") for line in lines):
                         continue
-                    bag = [result.supervisors[i].decide(w.estimates[i], ev)
+                    bag = [result.supervisors[i].decide(frame.composite.ids[i][k], ev)
                            for i in profile.controllers(ev)]
                     fused = fuse(bag, result.defaults[ev])
                     if frame.eval(k, must_enable(ev), "partial"):
