@@ -4,7 +4,9 @@ Covers ``check`` (text and ``--json``) and ``oracle --mode condition`` for
 every CLI condition on every example model, ``synthesize --json`` on every
 example model (written to a fresh temporary directory, named ``<tmp>`` in
 the case), ``verify`` of what ``synthesize`` wrote for every model that
-synthesizes, twice more with one decision turned wrong, plus the refused flag
+synthesizes, twice more with one decision turned wrong, a scripted
+``simulate`` session on every model that synthesizes (over the synthesized
+supervisors and over the ones ``synthesize`` wrote), plus the refused flag
 combinations.  Regenerate after an
 intended output change with ``PYTHONPATH=src python tests/test_golden.py``.
 """
@@ -15,9 +17,11 @@ import json
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
+from infobs import closed_loop, load_model, synthesize
 from infobs.cli import main
 
 MODELS = Path(__file__).resolve().parent.parent / "examples" / "models"
@@ -34,6 +38,21 @@ TMP = "<tmp>"
 CORRUPTED = {"<tmp, supervisor 1 table[0] on>": (0, "on"),
              "<tmp, supervisor 1 table[1] off>": (1, "off")}
 UNSOLVABLE = ("diamond_unsolvable.des",)
+#: Marks the last element of a ``simulate`` case: the session's commands,
+#: fed to stdin one per line.
+STDIN = "< "
+
+
+def session_script(model: Path) -> str:
+    """``events``, ``why`` for each controlled event, ``step`` on the first
+    event the closed loop allows, ``estimates``, ``events`` and every ``why``
+    again, ``reset``, ``quit``."""
+    model_spec, profile = load_model(model)
+    loop = closed_loop(model_spec, profile, synthesize(model_spec, profile))
+    first = loop.edges[1]  # world 0's moves come first, in event order
+    why = [f"why {ev}" for ev in sorted(profile.sigma_c)]
+    return ";".join(["events", *why, f"step {first}", "estimates", "events",
+                     *why, "reset", "quit"])
 
 
 def cases() -> list[tuple[str, ...]]:
@@ -48,6 +67,9 @@ def cases() -> list[tuple[str, ...]]:
         out.append((path.name, "synthesize", "-o", TMP, "--json"))
         if path.name not in UNSOLVABLE:
             out.append((path.name, "verify", "--supervisors", TMP))
+            script = STDIN + session_script(path)
+            out.append((path.name, "simulate", script))
+            out.append((path.name, "simulate", "--supervisors", TMP, script))
     for corrupted in CORRUPTED:
         out.append(("legacy_gap.des", "verify", "--supervisors", corrupted))
     for c, flag, value in REFUSED:
@@ -57,11 +79,15 @@ def cases() -> list[tuple[str, ...]]:
 
 def replay(case: tuple[str, ...]) -> dict:
     name, command, *rest = case
+    stdin = ""
+    if rest and rest[-1].startswith(STDIN):
+        stdin = rest.pop()[len(STDIN):].replace(";", "\n") + "\n"
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
-        if command == "verify":
+        if command == "verify" or command == "simulate" and TMP in rest:
             write_supervisors(MODELS / name, tmp, CORRUPTED.get(rest[-1]))
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                mock.patch.object(sys, "stdin", io.StringIO(stdin)):
             code = main([command, str(MODELS / name),
                          *(tmp if arg == TMP or arg in CORRUPTED else arg
                            for arg in rest)])
