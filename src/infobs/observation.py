@@ -113,10 +113,10 @@ class Composite:
     by world number.  From world 0 the composite generates the plant's
     language, or the part of it a :func:`compose` filter keeps, and
     ``observers`` are the observers it was composed from.  Past the walk a
-    world is its number: :attr:`delta` and :attr:`words` (shortest
-    generating words, ties broken lexicographically) are keyed by it and
-    built on first read, and :class:`World` objects, from :meth:`world` or
-    :attr:`worlds`, exist only for output and the oracle.
+    world is its number: :attr:`words` (shortest generating words, ties
+    broken lexicographically) is indexed by it and built on first read, and
+    :class:`World` objects, from :meth:`world` or :attr:`worlds`, exist only
+    for output and the oracle.
     """
 
     plants: tuple[str, ...]
@@ -132,11 +132,6 @@ class Composite:
     def worlds(self) -> tuple[World, ...]:
         rows = zip(*(map(o.states.__getitem__, c) for o, c in zip(self.observers, self.ids)))
         return tuple(map(World, self.plants, rows))
-
-    @cached_property
-    def delta(self) -> dict[tuple[int, str], int]:
-        moves = iter(self.edges)
-        return {(src, ev): dst for src, ev, dst in zip(moves, moves, moves)}
 
     @cached_property
     def words(self) -> list[Word]:

@@ -22,7 +22,7 @@ _HELP = """commands:
 
 
 class Simulator:
-    """Tracks the plant state, the supervisors' estimate ids, and the word so far."""
+    """Tracks the plant state, each supervisor's own estimate id, and the word so far."""
 
     def __init__(self, model: PlantSpec, profile: SupervisionProfile,
                  result: SynthesisResult, frame: KripkeFrame):
@@ -35,14 +35,10 @@ class Simulator:
 
     def reset(self) -> None:
         self.word: tuple[str, ...] = ()
-        self.world = 0  # the composite's world number
-        self.loop_estimates = (0,) * len(self.result.supervisors)
+        self.plant = self.model.initial
+        self.estimates = (0,) * len(self.result.supervisors)
 
     # -- queries -----------------------------------------------------------
-
-    @property
-    def plant(self) -> str:
-        return self.frame.composite.plants[self.world]
 
     def fused(self, event: str):
         """Fused decision and the supervisors that force it, or None if
@@ -50,7 +46,7 @@ class Simulator:
         controllers = self.profile.controllers(event)
         if not controllers:
             return None, ()
-        bag = {i: self.result.supervisors[i].decide(self.loop_estimates[i], event)
+        bag = {i: self.result.supervisors[i].decide(self.estimates[i], event)
                for i in controllers}
         fused = fuse(bag.values(), self.result.defaults[event])
         if fused is ENABLE:
@@ -59,12 +55,6 @@ class Simulator:
         if not blockers:
             blockers = tuple(i for i, d in bag.items() if d is WOFF)
         return fused, blockers
-
-    def enabled(self, event: str) -> bool:
-        if not self.model.possible(self.plant, event):
-            return False
-        fused, _ = self.fused(event)
-        return fused is None or fused is ENABLE
 
     # -- commands ----------------------------------------------------------
 
@@ -98,23 +88,23 @@ class Simulator:
             return [f"refused: {event} is disabled by {who}"]
         # A supervisor that cannot follow the event raises before any of
         # the state moves.
-        self.loop_estimates = tuple(
+        self.estimates = tuple(
             s.observer.step(est, event)
-            for s, est in zip(self.result.supervisors, self.loop_estimates))
+            for s, est in zip(self.result.supervisors, self.estimates))
         self.word += (event,)
-        self.world = self.frame.composite.delta[(self.world, event)]
+        self.plant = self.model.successors[event][self.plant]
         return [f"stepped on {event}; word so far: {format_word(self.word)}",
                 f"plant state: {self.plant}"]
 
     def why(self, event: str) -> list[str]:
         if event not in self.model.events:
             return [f"unknown event {event!r}"]
-        return explain(self.frame, self.result, self.world, event,
-                       self.loop_estimates).lines()
+        return explain(self.frame, self.result, self.plant, event,
+                       self.estimates).lines()
 
     def describe_estimates(self) -> list[str]:
         return [f"supervisor {s.index + 1}: " + "{" + ",".join(sorted(s.observer.states[k])) + "}"
-                for s, k in zip(self.result.supervisors, self.loop_estimates)]
+                for s, k in zip(self.result.supervisors, self.estimates)]
 
 
 def run_simulation(model: PlantSpec, profile: SupervisionProfile,

@@ -222,10 +222,16 @@ def write_peeking_supervisors(directory: Path) -> str:
 
 def world_after(frame, word) -> int:
     """The number of the world the frame's composite reaches on ``word``."""
-    k = 0
+    delta, k = composite_delta(frame.composite), 0
     for ev in word:
-        k = frame.composite.delta[(k, ev)]
+        k = delta[(k, ev)]
     return k
+
+
+def composite_delta(composite) -> dict:
+    """``(world, event) -> world`` over a composite's edges."""
+    moves = iter(composite.edges)
+    return {(src, ev): dst for src, ev, dst in zip(moves, moves, moves)}
 
 
 def estimate_moves(observer) -> dict:

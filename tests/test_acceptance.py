@@ -16,8 +16,8 @@ from infobs import (DISABLE, ENABLE, OFF, ON, WOFF, WON, ABSTAIN, check,
 from infobs.errors import ControlConflict, UndefinedFusion
 from infobs.kripke import Know
 
-from conftest import (FORMULA_SEED, MODELS, legal_rows, random_formula,
-                      reference_equivalent)
+from conftest import (FORMULA_SEED, MODELS, composite_delta, legal_rows,
+                      random_formula, reference_equivalent)
 
 
 def report(number: int, label: str) -> None:
@@ -60,7 +60,7 @@ def test_criterion_02_legacy_gap_phenomenon(legacy_gap, legacy_gap_frame):
     assert check(frame, model, profile, "corrected").holds
     assert check(frame, model, profile, "controllability").holds
     result = synthesize(model, profile, frame)
-    loop = (0, closed_loop(model, profile, result).delta)
+    loop = (0, composite_delta(closed_loop(model, profile, result)))
     expected = (0, {(0, "a"): 1, (1, "g"): 2})
     assert reference_equivalent(loop, expected).equal
     assert reference_equivalent(loop, legal_rows(model)).equal
@@ -92,7 +92,7 @@ def test_criterion_03_conditional_bets_separation(conditional_bets,
     decisions = [s.table[(0, "g")] for s in result.supervisors]
     assert decisions == [WOFF, WOFF]
     assert fuse(decisions, result.defaults["g"]) is DISABLE
-    loop = closed_loop(model, profile, result).delta
+    loop = composite_delta(closed_loop(model, profile, result))
     for word in (("a",), ("b",), ("a", "b"), ("b", "a")):
         here = 0
         for ev in word:

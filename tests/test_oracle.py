@@ -10,7 +10,7 @@ from infobs.oracle import (RULE_ILLEGAL_ENABLED, RULE_LEGAL_DISABLED,
                            RULE_UNCONTROLLABLE)
 from infobs.synthesis import Supervisor, SynthesisResult
 
-from conftest import plant_from_pairs, reference_equivalent
+from conftest import composite_delta, plant_from_pairs, reference_equivalent
 
 
 class TestOracleSolves:
@@ -140,8 +140,8 @@ class TestExhaustiveSearch:
         assert found.exists
         synthesized = synthesize(model, profile)
         assert reference_equivalent(
-            (0, closed_loop(model, profile, found.result).delta),
-            (0, closed_loop(model, profile, synthesized).delta)).equal
+            (0, composite_delta(closed_loop(model, profile, found.result))),
+            (0, composite_delta(closed_loop(model, profile, synthesized)))).equal
 
     def test_trivial_single_state_plant(self):
         model = plant_from_pairs({"a"}, {"q0"}, "q0", {}, {"q0"}, ())

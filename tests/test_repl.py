@@ -3,9 +3,16 @@
 import io
 from dataclasses import replace
 
-from infobs import default_frame, synthesize
+from infobs import (closed_loop, default_frame, load_supervisors,
+                    save_supervisors, synthesize)
+from infobs.errors import SynthesisError
+from infobs.randgen import instance_stream
 from infobs.repl import run_simulation
 from infobs.synthesis import Supervisor, SynthesisResult
+
+#: The stream whose reloaded supervisors are renumbered: save writes each
+#: observer's estimates sorted and load numbers them in file order.
+RELOAD_SEED = 7
 
 
 def session(model_profile, *commands, edit=None):
@@ -107,3 +114,53 @@ class TestSimulator:
         assert "supervisor 1: estimate {s0,s2,t0,t2}" in text
         assert "decision: woff (from table)" in text
         assert "fused(woff, woff) with default enable -> disable" in text
+        # No world of the frame pairs s1 with those estimates, so there is
+        # no class and no knowledge to show.
+        assert ("  an observer has left the projection: no world is"
+                " (s1 | {s0,s2,t0,t2} | {s0,s1,t0,t1})") in text.splitlines()
+        assert "considers possible" not in text
+
+    def test_why_reports_a_missing_decision_like_events(self, conditional_bets):
+        def drop_cell(result):
+            first, *rest = result.supervisors
+            table = dict(first.table)
+            del table[(0, "g")]
+            return SynthesisResult((Supervisor(first.observer, table), *rest),
+                                   result.defaults, result.provenance)
+
+        text = session(conditional_bets, "events", "why g", "quit",
+                       edit=drop_cell)
+        error = ("error: supervisor 1 has no decision for event 'g' at"
+                 " estimate ['s0', 's2', 't0', 't2']")
+        assert text.splitlines()[1:-1] == [error, error]
+
+    def test_reloaded_supervisors_explain_the_same_worlds(self, tmp_path):
+        # Reloading renumbers the estimates of some supervisors, so worlds
+        # must be matched by estimate sets, not by ids.
+        renumbered = 0
+        for n, (model, profile) in enumerate(instance_stream(RELOAD_SEED, 200)):
+            frame = default_frame(model, profile)
+            try:
+                result = synthesize(model, profile, frame)
+            except SynthesisError:
+                continue
+            save_supervisors(result, tmp_path / str(n))
+            reloaded = load_supervisors(tmp_path / str(n))
+            if all(a.observer.states == b.observer.states
+                   for a, b in zip(result.supervisors, reloaded.supervisors)):
+                continue
+            renumbered += 1
+            commands = []
+            for word in closed_loop(model, profile, result).words:
+                commands += ["reset", *(f"step {ev}" for ev in word),
+                             "estimates", "events",
+                             *(f"why {ev}" for ev in sorted(model.events))]
+            texts = []
+            for run in (result, reloaded):
+                out = io.StringIO()
+                run_simulation(model, profile, run, frame,
+                               io.StringIO("\n".join(commands) + "\n"), out)
+                texts.append(out.getvalue())
+            assert texts[0] == texts[1]
+            assert "considers possible" in texts[0] or not profile.sigma_c
+        assert renumbered == 13

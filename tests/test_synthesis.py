@@ -17,9 +17,9 @@ from infobs.observation import build_composite, project
 from infobs.synthesis import (PolicyCase, Supervisor, SynthesisResult, kp_case,
                               policy_truths)
 
-from conftest import (CORRUPT_SEED, automaton_language, legal_rows,
-                      plant_from_pairs, reference_equivalent, world_after,
-                      write_peeking_supervisors)
+from conftest import (CORRUPT_SEED, automaton_language, composite_delta,
+                      legal_rows, plant_from_pairs, reference_equivalent,
+                      world_after, write_peeking_supervisors)
 
 
 def policy_at(frame, k, event, i):
@@ -138,7 +138,7 @@ class TestClosedLoop:
     def test_gap_model_closed_loop_language(self, legacy_gap):
         model, profile = legacy_gap
         result = synthesize(model, profile)
-        loop = (0, closed_loop(model, profile, result).delta)
+        loop = (0, composite_delta(closed_loop(model, profile, result)))
         assert automaton_language(loop, 4) == {(), ("a",), ("a", "g")}
         expected = (0, {(0, "a"): 1, (1, "g"): 2})
         assert reference_equivalent(loop, expected).equal
@@ -153,13 +153,13 @@ class TestClosedLoop:
                                      frozenset(model.delta.keys()))
         result = synthesize(all_legal, profile)
         loop = closed_loop(all_legal, profile, result)
-        assert reference_equivalent((0, loop.delta),
+        assert reference_equivalent((0, composite_delta(loop)),
                                     (all_legal.initial, all_legal.delta)).equal
 
     def test_bets_model_closed_loop_is_the_legal_language(self, conditional_bets):
         model, profile = conditional_bets
         result = synthesize(model, profile)
-        loop = (0, closed_loop(model, profile, result).delta)
+        loop = (0, composite_delta(closed_loop(model, profile, result)))
         assert reference_equivalent(loop, legal_rows(model)).equal
         words = automaton_language(loop, 3)
         assert ("a", "g") in words and ("b", "g") in words
@@ -198,7 +198,7 @@ class TestVerifySolution:
         verdict = verify_solution(model, profile, free)
         assert verdict.counterexample == ("a",)
         assert verdict == reference_equivalent(
-            (0, closed_loop(model, profile, free).delta), legal_rows(model))
+            (0, composite_delta(closed_loop(model, profile, free))), legal_rows(model))
 
     def test_agrees_with_the_pair_walk_on_corrupted_tables(self,
                                                            synthesized_instances):
@@ -221,7 +221,7 @@ class TestVerifySolution:
                     verify_solution(model, profile, corrupted)
                 continue
             verdict = verify_solution(model, profile, corrupted)
-            assert verdict == reference_equivalent((0, loop.delta),
+            assert verdict == reference_equivalent((0, composite_delta(loop)),
                                                    legal_rows(model))
             failing += not verdict.equal
         assert failing > 0
