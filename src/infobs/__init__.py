@@ -22,15 +22,14 @@ from .explain import Explanation, explain
 from .fusion import (ABSTAIN, DISABLE, ENABLE, OFF, ON, WOFF, WON,
                      ControlDecision, FusedDecision, fuse, fuse_legacy_pair)
 from .kripke import (And, Const, Formula, Implies, Know, KripkeFrame, Not, Or,
-                     Prop, Var, any_knows, build_frame, expand_derived,
-                     guard_transform, legal, possible, STATE_LEGAL)
+                     Prop, Var, any_knows, build_frame, guard_transform,
+                     legal, possible, STATE_LEGAL)
 from .modelfile import (load_model, load_supervisors, parse_model,
                         save_supervisors, serialize_model)
 from .observation import (Composite, Observer, World, build_composite,
                           compose, project)
 from .oracle import (OracleVerdict, SearchResult, exhaustive_supervisor_search,
                      oracle_condition, oracle_solves)
-from .randgen import instance_stream, random_instance
 from .synthesis import (PolicyCase, Supervisor, SynthesisResult, closed_loop,
                         kp_case, project_policy, synthesize,
                         verify_solution)

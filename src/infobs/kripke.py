@@ -125,23 +125,6 @@ def any_knows(agents, sub: Formula) -> Formula:
     return or_all(Know(i, sub) for i in agents)
 
 
-def expand_derived(phi: Formula) -> Formula:
-    """Rewrite Or and Implies into the primitive not/and fragment."""
-    if isinstance(phi, (Const, Var)):
-        return phi
-    if isinstance(phi, Not):
-        return Not(expand_derived(phi.sub))
-    if isinstance(phi, And):
-        return And(expand_derived(phi.left), expand_derived(phi.right))
-    if isinstance(phi, Or):
-        return Not(And(Not(expand_derived(phi.left)), Not(expand_derived(phi.right))))
-    if isinstance(phi, Implies):
-        return expand_derived(Or(Not(phi.left), phi.right))
-    if isinstance(phi, Know):
-        return Know(phi.agent, expand_derived(phi.sub))
-    raise TypeError(f"not a formula: {phi!r}")
-
-
 def uses_state_legal(phi: Formula) -> bool:
     if isinstance(phi, Var):
         return phi.prop.kind == "state_legal"

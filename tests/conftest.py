@@ -10,14 +10,15 @@ from pathlib import Path
 
 import pytest
 
-from infobs import (And, Const, EquivalenceVerdict, Implies, Know, Not, Or,
-                    PlantSpec, SupervisionProfile, Var, any_knows,
+from infobs import (And, Const, EquivalenceVerdict, Formula, Implies, Know,
+                    Not, Or, PlantSpec, SupervisionProfile, Var, any_knows,
                     default_frame, legal, load_model, possible, synthesize)
 from infobs.automata import validate_profile, walk_words
 from infobs.errors import FormatError, ModelError, SynthesisError
 from infobs.modelfile import MAX_SUPERVISORS, _parse_indices
 from infobs.observation import World
-from infobs.randgen import instance_stream, random_instance
+
+from randgen import instance_stream, random_instance
 
 MODELS = Path(__file__).resolve().parent.parent / "examples" / "models"
 
@@ -548,6 +549,23 @@ def automaton_language(automaton: tuple, k: int) -> set:
                 nxt.append((target, extended))
         frontier = nxt
     return words
+
+
+def expand_derived(phi: Formula) -> Formula:
+    """Rewrite Or and Implies into the primitive not/and fragment."""
+    if isinstance(phi, (Const, Var)):
+        return phi
+    if isinstance(phi, Not):
+        return Not(expand_derived(phi.sub))
+    if isinstance(phi, And):
+        return And(expand_derived(phi.left), expand_derived(phi.right))
+    if isinstance(phi, Or):
+        return Not(And(Not(expand_derived(phi.left)), Not(expand_derived(phi.right))))
+    if isinstance(phi, Implies):
+        return expand_derived(Or(Not(phi.left), phi.right))
+    if isinstance(phi, Know):
+        return Know(phi.agent, expand_derived(phi.sub))
+    raise TypeError(f"not a formula: {phi!r}")
 
 
 def random_formula(rng: random.Random, events, n_agents: int, depth: int,

@@ -14,8 +14,8 @@ from __future__ import annotations
 import random
 from typing import Sequence
 
-from .automata import (PlantSpec, SupervisionProfile, closure, validate_model,
-                       validate_profile)
+from infobs.automata import (PlantSpec, SupervisionProfile, closure,
+                             validate_model, validate_profile)
 
 _EVENT_NAMES = ("a", "b", "c")
 

@@ -8,10 +8,10 @@ import pytest
 from infobs import reachable, validate_model
 from infobs.automata import walk_words
 from infobs.errors import ModelError
-from infobs.randgen import instance_stream
 
 from conftest import (automaton_language, legal_rows, plant_from_pairs,
                       reference_equivalent, run_word)
+from randgen import instance_stream
 
 
 def chain(states, moves, legal_states=None, legal_moves=None, events=None):

@@ -7,9 +7,9 @@ from infobs import (DISABLE, ENABLE, SupervisionProfile, can_enable, check,
 from infobs.conditions import _extended_lines
 from infobs.errors import ModelError
 from infobs.kripke import And, Not, Var, possible
-from infobs.randgen import instance_stream
 
 from conftest import plant_from_pairs
+from randgen import instance_stream
 
 
 def blind_two_step_chain():

@@ -5,14 +5,15 @@ import random
 import pytest
 
 from infobs import (Implies, Know, Not, Or, STATE_LEGAL, Var, any_knows,
-                    build_frame, default_frame, expand_derived,
-                    guard_transform, legal, possible)
+                    build_frame, default_frame, guard_transform, legal,
+                    possible)
 from infobs.kripke import FALSE
 from infobs.errors import ModelError
 from infobs.observation import build_composite
-from infobs.randgen import instance_stream
 
-from conftest import FORMULA_SEED, random_formula, reference_eval, world_after
+from conftest import (FORMULA_SEED, expand_derived, random_formula,
+                      reference_eval, world_after)
+from randgen import instance_stream
 
 
 class TestAccessibility:

@@ -9,11 +9,11 @@ from infobs import (SupervisionProfile, check, closed_loop, compose,
                     save_supervisors, synthesis, synthesize, verify_solution)
 from infobs.errors import ModelError
 from infobs.observation import build_composite
-from infobs.randgen import instance_stream
 
 from conftest import (composite_delta, estimate_groups, estimate_moves,
                       reference_compose, reference_equivalent,
                       reference_project)
+from randgen import instance_stream
 
 
 def assert_matches_reference(composite, model, observers, enabled=None):

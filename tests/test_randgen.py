@@ -5,9 +5,9 @@ import hashlib
 import pytest
 
 from infobs import serialize_model
-from infobs.randgen import instance_stream
 
 from conftest import N2_SEED, SOUND_SEED, TINY_SEED
+from randgen import instance_stream
 
 # (seed, count, generator options) -> SHA-256 of the serialized instances.
 # The property tests and the oracle cross-checks all draw from these

@@ -6,9 +6,10 @@ from dataclasses import replace
 from infobs import (closed_loop, default_frame, load_supervisors,
                     save_supervisors, synthesize)
 from infobs.errors import SynthesisError
-from infobs.randgen import instance_stream
 from infobs.repl import run_simulation
 from infobs.synthesis import Supervisor, SynthesisResult
+
+from randgen import instance_stream
 
 #: The stream whose reloaded supervisors are renumbered: save writes each
 #: observer's estimates sorted and load numbers them in file order.
