@@ -76,7 +76,7 @@ def explain(frame: KripkeFrame, result: SynthesisResult, plant: str, event: str,
     controllers = frame.profile.controllers(event)
     if not controllers:
         return Explanation(event, w, controllable=False)
-    k = next((k for k, v in enumerate(frame.worlds) if v == w), None)
+    k = next((j for j, v in enumerate(frame.worlds) if v == w), None)
     views = []
     for i in controllers:
         decision = supervisors[i].decide(estimates[i], event)
