@@ -14,9 +14,14 @@ from infobs import (And, Const, EquivalenceVerdict, Formula, Implies, Know,
                     Not, Or, PlantSpec, SupervisionProfile, Var, any_knows,
                     default_frame, legal, load_model, possible, synthesize)
 from infobs.automata import validate_profile, walk_words
-from infobs.errors import FormatError, ModelError, SynthesisError
+from infobs.errors import (EnumerationBound, FormatError, ModelError,
+                           SynthesisError)
+from infobs.fusion import DISABLE, ENABLE, fuse
 from infobs.modelfile import MAX_SUPERVISORS, _parse_indices
-from infobs.observation import World
+from infobs.observation import World, compose
+from infobs.oracle import (MAX_ORACLE_DEPTH, RULE_ILLEGAL_ENABLED,
+                           RULE_LEGAL_DISABLED, RULE_UNCONTROLLABLE,
+                           OracleVerdict)
 
 from randgen import instance_stream, random_instance
 
@@ -249,6 +254,52 @@ def estimate_table(supervisor) -> dict:
     names = supervisor.observer.states
     return {(names[k], ev): decision
             for (k, ev), decision in supervisor.table.items()}
+
+
+def reference_solves(model: PlantSpec, profile: SupervisionProfile, result,
+                     k: int = 6) -> OracleVerdict:
+    """The solvability replay taken literally: for every legal word and
+    every event it fuses, each controller's observer runs the word's
+    projection from the initial estimate, and the decisions are fused anew.
+    No memo of estimates or fused decisions.
+    """
+    if k > MAX_ORACLE_DEPTH:
+        raise EnumerationBound(f"depth {k} exceeds the oracle ceiling {MAX_ORACLE_DEPTH}")
+    result.require_fits(profile)
+    sigma_c = profile.sigma_c
+    for word, state in walk_words(model, k, legal_only=True):
+        for ev in sorted(model.events):
+            if state not in model.successors[ev]:
+                continue
+            legal_next = state in model.legal_sources[ev]
+            if ev not in sigma_c:
+                if not legal_next:
+                    return OracleVerdict(False, word, ev, RULE_UNCONTROLLABLE)
+                continue
+            bag = [result.supervisors[i].decide(
+                       result.supervisors[i].observer.run(
+                           tuple(e for e in word if e in profile.observable[i])), ev)
+                   for i in profile.controllers(ev)]
+            fused = fuse(bag, result.defaults[ev])
+            if legal_next and fused is not ENABLE:
+                return OracleVerdict(False, word, ev, RULE_LEGAL_DISABLED)
+            if not legal_next and fused is not DISABLE:
+                return OracleVerdict(False, word, ev, RULE_ILLEGAL_ENABLED)
+    return OracleVerdict(True)
+
+
+def reference_closed_loop(model: PlantSpec, profile: SupervisionProfile, result):
+    """The closed loop with no table of fused decisions: the filter builds
+    and fuses the controllers' bag anew on every plant move it is asked
+    about."""
+    result.require_fits(profile)
+
+    def enabled(key: tuple, ev: str) -> bool:
+        bag = [result.supervisors[i].decide(key[i + 1], ev)
+               for i in profile.controllers(ev)]
+        return not bag or fuse(bag, result.defaults[ev]) is ENABLE
+
+    return compose(model, [s.observer for s in result.supervisors], enabled)
 
 
 def reference_project(model: PlantSpec, profile: SupervisionProfile, i: int):

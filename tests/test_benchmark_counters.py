@@ -75,3 +75,57 @@ def test_traced_check_and_oracle_count_the_model_they_parse(path):
     # The oracle runs only on what synthesizes.
     solved = path.name != "diamond_unsolvable.des"
     assert tracer.counts["oracle.legal_words"] == (legal_words if solved else 0)
+
+
+#: The targets of ``spans.TARGETS`` the package has, as (module, name).  The
+#: tracer skips a target it cannot find without a word, so a rename would
+#: otherwise only zero a metric of the traced benchmark.
+RESOLVED_TARGETS = (
+    ("infobs.modelfile", "parse_model"),
+    ("infobs.modelfile", "reachable"),
+    ("infobs.modelfile", "validate_profile"),
+    ("infobs.observation", "project"),
+    ("infobs.oracle", "project"),
+    ("infobs.observation", "compose"),
+    ("infobs.conditions", "build_frame"),
+    ("infobs.cli", "synthesize"),
+    ("infobs.cli", "verify_solution"),
+    ("infobs.synthesis", "closed_loop"),
+    ("infobs.cli", "save_supervisors"),
+    ("infobs.cli", "load_supervisors"),
+    ("infobs.oracle", "oracle_solves"),
+    ("infobs.oracle", "oracle_condition"),
+    ("infobs.oracle", "exhaustive_supervisor_search"),
+)
+
+
+def test_the_traced_targets_still_resolve():
+    spans = load_spans()
+    targets = {(module, attr) for module, attr, _name, _counter in spans.TARGETS}
+    assert set(RESOLVED_TARGETS) <= targets
+    for module, attr in RESOLVED_TARGETS:
+        assert callable(getattr(importlib.import_module(module), attr, None)), attr
+
+
+@pytest.mark.parametrize("path", [p for p in sorted(MODELS.glob("*.des"))
+                                  if p.name != "diamond_unsolvable.des"],
+                         ids=lambda p: p.name)
+def test_traced_verify_and_solve_record_their_spans(path, tmp_path):
+    # On every example that synthesizes.  The spans bind oracle_solves'
+    # `model` and `k` and wrap the closed loop, the verifier and the
+    # loader by name.
+    spans = load_spans()
+    model, _profile = load_model(path)
+    assert main(["synthesize", str(path), "-o", str(tmp_path)]) == 0
+    for argv, depth, names in (
+            (["verify", str(path), "--supervisors", str(tmp_path)], 6,
+             {"synthesis.closed_loop", "synthesis.verify_solution",
+              "modelfile.load_supervisors", "oracle.solves"}),
+            (["oracle", str(path), "--mode", "solve", "--supervisors",
+              str(tmp_path), "--depth", "4"], 4,
+             {"modelfile.load_supervisors", "oracle.solves"})):
+        tracer, code = traced(spans, argv)
+        assert code == 0
+        assert names <= {span[0] for span in tracer.spans}
+        assert tracer.counts["oracle.legal_words"] == len(
+            list(walk_words(model, depth, legal_only=True)))

@@ -187,6 +187,56 @@ class TestSupervisorFiles:
                                  " observable"):
             load_supervisors(tmp_path)
 
+    def test_an_estimate_in_another_order_loads_as_the_sorted_one(
+            self, conditional_bets, tmp_path):
+        # A hand-edited file may name an estimate's states in any order
+        # outside `states`; it denotes the same estimate, with the same id.
+        save_supervisors(synthesize(*conditional_bets), tmp_path / "sorted")
+        shuffled = tmp_path / "shuffled"
+        save_supervisors(synthesize(*conditional_bets), shuffled)
+        path = shuffled / "supervisor_1.json"
+        data = json.loads(path.read_text())
+        est = data["states"][-1]
+        assert len(est) > 1
+
+        def flip(value):
+            return value[::-1] if value == est else value
+
+        data["initial"] = flip(data["initial"])
+        for t in data["transitions"]:
+            t["src"], t["dst"] = flip(t["src"]), flip(t["dst"])
+        for entry in data["table"]:
+            entry["state"] = flip(entry["state"])
+        assert est[::-1] in (*(t["dst"] for t in data["transitions"]),
+                             *(e["state"] for e in data["table"]))
+        path.write_text(json.dumps(data))
+        assert load_supervisors(shuffled) == load_supervisors(tmp_path / "sorted")
+
+    @pytest.mark.parametrize("member", [7, ["s1"]], ids=["non-string", "unhashable"])
+    @pytest.mark.parametrize("field", ["states", "initial", "transitions", "table"])
+    def test_a_bad_estimate_member_keeps_its_message(self, conditional_bets,
+                                                     tmp_path, field, member):
+        save_supervisors(synthesize(*conditional_bets), tmp_path)
+        path = tmp_path / "supervisor_1.json"
+        data = json.loads(path.read_text())
+        if field == "initial":
+            what, bad = "initial", data["initial"] + [member]
+            data["initial"] = bad
+        elif field == "states":
+            what, bad = "states[1]", data["states"][1] + [member]
+            data["states"][1] = bad
+        elif field == "transitions":
+            what, bad = "transitions[0].dst", data["transitions"][0]["dst"] + [member]
+            data["transitions"][0]["dst"] = bad
+        else:
+            what, bad = "table[0].state", data["table"][0]["state"] + [member]
+            data["table"][0]["state"] = bad
+        path.write_text(json.dumps(data))
+        with pytest.raises(FormatError) as info:
+            load_supervisors(tmp_path)
+        assert str(info.value) == (f"{path}: {what} must be a list of names,"
+                                   f" not {bad!r}")
+
     def test_missing_directory_content_is_reported(self, tmp_path):
         with pytest.raises(FormatError, match="no supervisor"):
             load_supervisors(tmp_path)
