@@ -26,6 +26,7 @@ from .observation import Observer
 from .synthesis import PolicyCase, Supervisor, SynthesisResult
 
 _STATE_OPTIONS = frozenset({"init", "legal"})
+_MEMBERS = {enum: {m.value: m for m in enum} for enum in (ControlDecision, PolicyCase)}
 
 # Parsing allocates per supervisor, so the count is bounded before anything
 # is built for it.
@@ -322,8 +323,15 @@ def _supervisor_from_json(data, provenance: dict) -> Supervisor:
     if initial not in states:
         raise ValueError(f"initial {sorted(initial)} is not among states")
     ids = {est: k for k, est in enumerate({initial: None} | states)}
+    # Each estimate as `states` spells it, so most references are one lookup.
+    spelled = {tuple(raw): ids[frozenset(raw)] for raw in data["states"]}
 
     def state(value, what: str) -> int:
+        if type(value) is list:
+            try:
+                return spelled[tuple(value)]
+            except (KeyError, TypeError):  # spelled otherwise, or not names
+                pass
         est = _names(value, what)
         if est not in ids:
             raise ValueError(f"{what} {sorted(est)} is not among states")
@@ -346,10 +354,18 @@ def _supervisor_from_json(data, provenance: dict) -> Supervisor:
     table: dict[tuple[int, str], ControlDecision] = {}
     for k, entry in enumerate(_list(data, "table")):
         key = (state(entry["state"], f"table[{k}].state"), entry["event"])
-        add(table, key, *key, ControlDecision(entry["decision"]), f"table[{k}]")
+        add(table, key, *key, _member(ControlDecision, entry["decision"]), f"table[{k}]")
         if "case" in entry:
-            provenance[(index, *key)] = PolicyCase(entry["case"])
+            provenance[(index, *key)] = _member(PolicyCase, entry["case"])
     return Supervisor(Observer(index, observable, names, moves), table)
+
+
+def _member(enum, value):
+    """``enum(value)``, by one dict lookup when ``value`` is a member's value."""
+    try:
+        return _MEMBERS[enum][value]
+    except (KeyError, TypeError):  # the enum raises its own error
+        return enum(value)
 
 
 def _list(data, key: str) -> list:

@@ -53,12 +53,6 @@ class Observer:
             f"{event!r} from estimate {sorted(self.states[k])}"
         )
 
-    def run(self, word: Sequence[str]) -> int:
-        k = 0
-        for ev in word:
-            k = self.step(k, ev)
-        return k
-
 
 def project(model: PlantSpec, profile: SupervisionProfile, i: int) -> Observer:
     """Subset construction over unobservable closures for supervisor ``i``."""

@@ -5,8 +5,8 @@ Three validators:
 * :func:`oracle_solves` replays the three string-level requirements a
   solution must meet (uncontrollable events never leave the legal language;
   legal controlled continuations fuse to enable; illegal ones to disable)
-  literally over every plant word up to a depth bound, driving the
-  supervisors' observers directly on projected words.
+  over every plant word up to a depth bound, stepping the supervisors'
+  observers directly along each word, once per word prefix.
 
 * :func:`oracle_condition` re-decides the observability conditions by direct
   quantifier expansion: plain nested loops over worlds and classes, no
@@ -25,10 +25,10 @@ from itertools import product
 
 from .automata import PlantSpec, SupervisionProfile, Word, walk_words
 from .errors import (ControlConflict, EnumerationBound, InstanceTooLarge,
-                     UndefinedFusion)
+                     ModelError, UndefinedFusion)
 from .fusion import (ABSTAIN, DISABLE, ENABLE, ControlDecision, FusedDecision,
                      fuse)
-from .observation import build_composite, project
+from .observation import Observer, build_composite, project
 from .synthesis import Supervisor, SynthesisResult
 
 #: Depth ceiling for string-level replay.
@@ -65,11 +65,20 @@ def _legal_words(model: PlantSpec, k: int) -> list[tuple[Word, str]]:
 
 def oracle_solves(model: PlantSpec, profile: SupervisionProfile,
                   result: SynthesisResult, k: int = 6) -> OracleVerdict:
-    """Replay the solvability requirements over all words of length <= k."""
+    """Replay the solvability requirements over all words of length <= k.
+
+    Each controller's observer is stepped once per word prefix, and only
+    where its decision is read; the controllers' decisions are fused once
+    per event and tuple of their estimate ids.
+    """
     result.require_fits(profile)
     sigma_c = profile.sigma_c
+    sups = result.supervisors
+    memos = [{(): 0} for _ in sups]
+    plan = [(ev, profile.controllers(ev)) for ev in sorted(model.events)]
+    fused_at: dict[tuple, FusedDecision] = {}
     for word, state in _legal_words(model, k):
-        for ev in sorted(model.events):
+        for ev, ctrl in plan:
             if state not in model.successors[ev]:
                 continue
             legal_next = state in model.legal_sources[ev]
@@ -77,10 +86,16 @@ def oracle_solves(model: PlantSpec, profile: SupervisionProfile,
                 if not legal_next:
                     return OracleVerdict(False, word, ev, RULE_UNCONTROLLABLE)
                 continue
-            bag = [result.supervisors[i].decide(
-                       result.supervisors[i].observer.run(_projected(word, profile, i)), ev)
-                   for i in profile.controllers(ev)]
-            fused = fuse(bag, result.defaults[ev])
+            try:
+                ids = tuple(_estimate(sups[i].observer, memos[i], word) for i in ctrl)
+            except ModelError:  # an earlier controller's missing cell comes first
+                for i in ctrl:
+                    sups[i].decide(_estimate(sups[i].observer, memos[i], word), ev)
+                raise
+            fused = fused_at.get((ev, ids))
+            if fused is None:
+                bag = [sups[i].decide(e, ev) for i, e in zip(ctrl, ids)]
+                fused = fused_at[(ev, ids)] = fuse(bag, result.defaults[ev])
             if legal_next and fused is not ENABLE:
                 return OracleVerdict(False, word, ev, RULE_LEGAL_DISABLED)
             if not legal_next and fused is not DISABLE:
@@ -88,8 +103,13 @@ def oracle_solves(model: PlantSpec, profile: SupervisionProfile,
     return OracleVerdict(True)
 
 
-def _projected(word: Word, profile: SupervisionProfile, i: int) -> Word:
-    return tuple(ev for ev in word if ev in profile.observable[i])
+def _estimate(observer: Observer, memo: dict[Word, int], word: Word) -> int:
+    """The observer's estimate id after the plant word, stepped from the id
+    after its prefix; ``memo`` starts as ``{(): 0}`` and keeps every id."""
+    e = memo.get(word)
+    if e is None:
+        e = memo[word] = observer.step(_estimate(observer, memo, word[:-1]), word[-1])
+    return e
 
 
 # ---------------------------------------------------------------------------
@@ -246,6 +266,7 @@ def exhaustive_supervisor_search(model: PlantSpec, profile: SupervisionProfile,
 
     words = _legal_words(model, k)
     sigma_c = profile.sigma_c
+    memos = [{(): 0} for _ in observers]
 
     # Uncontrollable escapes doom every table alike.
     for word, state in words:
@@ -266,7 +287,7 @@ def exhaustive_supervisor_search(model: PlantSpec, profile: SupervisionProfile,
         for word, state in words:
             if state not in model.successors[ev]:
                 continue
-            key = tuple(observers[i].run(_projected(word, profile, i)) for i in ctrl)
+            key = tuple(_estimate(observers[i], memos[i], word) for i in ctrl)
             want = (ENABLE if state in model.legal_sources[ev] else DISABLE)
             if required.setdefault(key, want) is not want:
                 return SearchResult(False)

@@ -62,8 +62,12 @@ class Simulator:
         out = []
         for ev in sorted(self.model.events):
             possible = self.model.possible(self.plant, ev)
-            fused, blockers = self.fused(ev)
             bits = ["possible" if possible else "not possible"]
+            try:
+                fused, blockers = self.fused(ev)
+            except ModelError as exc:  # reported on this event's line only
+                out.append(f"{ev}: {bits[0]}; error: {exc}")
+                continue
             if fused is None:
                 bits.append("uncontrollable")
                 verdict = "allowed" if possible else "-"

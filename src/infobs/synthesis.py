@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import itemgetter
 from typing import Mapping
 
 from .automata import EquivalenceVerdict, PlantSpec, SupervisionProfile
@@ -188,15 +189,28 @@ def closed_loop(model: PlantSpec, profile: SupervisionProfile,
 
     An uncontrollable event follows the plant whenever physically possible,
     a controlled event additionally needs the fused decision of its
-    controllers to be enable.  Fusion errors propagate; they are unreachable
-    for synthesized supervisors.
+    controllers to be enable.  That decision depends only on the event and
+    the controllers' estimate ids, so it is fused once per id tuple, when
+    the walk first asks for it.  Fusion errors propagate; they are
+    unreachable for synthesized supervisors.
     """
     result.require_fits(profile)
+    # Per controlled event: its controllers' ids in a walk key, and the
+    # fused decision per tuple of those ids.
+    tables = {ev: (itemgetter(*(i + 1 for i in profile.controllers(ev))), {})
+              for ev in profile.sigma_c}
 
     def enabled(key: tuple, ev: str) -> bool:
-        bag = [result.supervisors[i].decide(key[i + 1], ev)
-               for i in profile.controllers(ev)]
-        return not bag or fuse(bag, result.defaults[ev]) is ENABLE
+        if ev not in tables:
+            return True
+        ids_of, table = tables[ev]
+        ids = ids_of(key)
+        allowed = table.get(ids)
+        if allowed is None:
+            bag = [result.supervisors[i].decide(key[i + 1], ev)
+                   for i in profile.controllers(ev)]
+            allowed = table[ids] = fuse(bag, result.defaults[ev]) is ENABLE
+        return allowed
 
     return compose(model, [s.observer for s in result.supervisors], enabled)
 

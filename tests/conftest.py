@@ -6,6 +6,7 @@ import json
 import random
 import re
 from collections import defaultdict, deque
+from functools import reduce
 from pathlib import Path
 
 import pytest
@@ -277,8 +278,8 @@ def reference_solves(model: PlantSpec, profile: SupervisionProfile, result,
                     return OracleVerdict(False, word, ev, RULE_UNCONTROLLABLE)
                 continue
             bag = [result.supervisors[i].decide(
-                       result.supervisors[i].observer.run(
-                           tuple(e for e in word if e in profile.observable[i])), ev)
+                       reduce(result.supervisors[i].observer.step,
+                              tuple(e for e in word if e in profile.observable[i]), 0), ev)
                    for i in profile.controllers(ev)]
             fused = fuse(bag, result.defaults[ev])
             if legal_next and fused is not ENABLE:

@@ -1,6 +1,7 @@
 """Observer construction and the plant/observer composite."""
 
 from dataclasses import replace
+from functools import reduce
 
 import pytest
 
@@ -273,7 +274,7 @@ class TestObserverIds:
     def test_an_observable_event_without_a_row_cannot_be_followed(self, legacy_gap):
         model, profile = legacy_gap
         observer = project(model, profile, 0)
-        assert observer.run(("g", "a", "g")) == 1
+        assert reduce(observer.step, ("g", "a", "g"), 0) == 1
         stray = replace(observer, observable=frozenset({"a", "g"}))
         with pytest.raises(ModelError, match="cannot follow observable event 'g'"):
             stray.step(0, "g")

@@ -133,7 +133,12 @@ class TestSimulator:
                        edit=drop_cell)
         error = ("error: supervisor 1 has no decision for event 'g' at"
                  " estimate ['s0', 's2', 't0', 't2']")
-        assert text.splitlines()[1:-1] == [error, error]
+        # `events` reports the error on g's line and keeps the other events.
+        assert text.splitlines()[1:-1] == [
+            "a: possible; uncontrollable; allowed",
+            "b: possible; uncontrollable; allowed",
+            f"g: possible; {error}",
+            error]
 
     def test_reloaded_supervisors_explain_the_same_worlds(self, tmp_path):
         # Reloading renumbers the estimates of some supervisors, so worlds
