@@ -25,7 +25,7 @@ from itertools import product
 
 from .automata import PlantSpec, SupervisionProfile, Word, walk_words
 from .errors import (ControlConflict, EnumerationBound, InstanceTooLarge,
-                     ModelError, UndefinedFusion)
+                     UndefinedFusion)
 from .fusion import (ABSTAIN, DISABLE, ENABLE, ControlDecision, FusedDecision,
                      fuse)
 from .observation import Observer, build_composite, project
@@ -68,8 +68,7 @@ def oracle_solves(model: PlantSpec, profile: SupervisionProfile,
     """Replay the solvability requirements over all words of length <= k.
 
     Each controller's observer is stepped once per word prefix, and only
-    where its decision is read; the controllers' decisions are fused once
-    per event and tuple of their estimate ids.
+    where its decision is read; each event's bag of decisions is fused once.
     """
     result.require_fits(profile)
     sigma_c = profile.sigma_c
@@ -86,16 +85,11 @@ def oracle_solves(model: PlantSpec, profile: SupervisionProfile,
                 if not legal_next:
                     return OracleVerdict(False, word, ev, RULE_UNCONTROLLABLE)
                 continue
-            try:
-                ids = tuple(_estimate(sups[i].observer, memos[i], word) for i in ctrl)
-            except ModelError:  # an earlier controller's missing cell comes first
-                for i in ctrl:
-                    sups[i].decide(_estimate(sups[i].observer, memos[i], word), ev)
-                raise
-            fused = fused_at.get((ev, ids))
+            bag = tuple(sups[i].decide(_estimate(sups[i].observer, memos[i], word), ev)
+                        for i in ctrl)
+            fused = fused_at.get((ev, bag))
             if fused is None:
-                bag = [sups[i].decide(e, ev) for i, e in zip(ctrl, ids)]
-                fused = fused_at[(ev, ids)] = fuse(bag, result.defaults[ev])
+                fused = fused_at[(ev, bag)] = fuse(bag, result.defaults[ev])
             if legal_next and fused is not ENABLE:
                 return OracleVerdict(False, word, ev, RULE_LEGAL_DISABLED)
             if not legal_next and fused is not DISABLE:
@@ -106,6 +100,8 @@ def oracle_solves(model: PlantSpec, profile: SupervisionProfile,
 def _estimate(observer: Observer, memo: dict[Word, int], word: Word) -> int:
     """The observer's estimate id after the plant word, stepped from the id
     after its prefix; ``memo`` starts as ``{(): 0}`` and keeps every id."""
+    # Not a closure over the memo: a recursive closure is a reference cycle,
+    # which would keep every memo alive until the next cyclic collection.
     e = memo.get(word)
     if e is None:
         e = memo[word] = observer.step(_estimate(observer, memo, word[:-1]), word[-1])
