@@ -61,10 +61,6 @@ class PlantSpec:
         return frozenset((src, ev) for ev, sources in self.legal_sources.items()
                          for src in sources)
 
-    def possible(self, state: str, event: str) -> bool:
-        """True when the event can physically occur at the state."""
-        return state in self.successors.get(event, ())
-
 
 @dataclass(frozen=True)
 class SupervisionProfile:
@@ -88,9 +84,6 @@ class SupervisionProfile:
         for ctrl in self.controllable:
             out |= ctrl
         return out
-
-    def sigma_uc(self, events: frozenset[str]) -> frozenset[str]:
-        return events - self.sigma_c
 
     def controllers(self, event: str) -> tuple[int, ...]:
         """Indices of the supervisors that control ``event``."""
@@ -122,7 +115,7 @@ def validate_model(model: PlantSpec) -> None:
                     f"legal transition {src} -{ev}-> {row[src]}"
                     " must run between legal states"
                 )
-    unreachable = model.states - reachable(model, legal_only=False)
+    unreachable = model.states - reachable(model)
     if unreachable:
         names = ", ".join(sorted(unreachable))
         raise ModelError(f"states unreachable from {model.initial!r} are rejected: {names}")
@@ -144,17 +137,9 @@ def validate_profile(model: PlantSpec, profile: SupervisionProfile) -> None:
                 )
 
 
-def reachable(model: PlantSpec, legal_only: bool = False) -> frozenset[str]:
-    """States reachable from the initial state; a fixed point of the moves.
-
-    With ``legal_only`` only legal transitions are followed, which yields the
-    state set of the legal subautomaton's accessible part.
-    """
-    rows = model.successors.values()
-    if legal_only:
-        rows = [{q: row[q] for q in model.legal_sources[ev]}
-                for ev, row in model.successors.items()]
-    return frozenset(closure({model.initial}, rows))
+def reachable(model: PlantSpec) -> frozenset[str]:
+    """States reachable from the initial state; a fixed point of the moves."""
+    return frozenset(closure({model.initial}, model.successors.values()))
 
 
 def closure(seed: Iterable[str], rows: Collection[Mapping[str, str]]) -> set[str]:
@@ -172,24 +157,21 @@ def closure(seed: Iterable[str], rows: Collection[Mapping[str, str]]) -> set[str
     return seen
 
 
-def walk_words(model: PlantSpec, k: int,
-               legal_only: bool = False) -> Iterator[tuple[Word, str]]:
-    """Every word of length at most ``k`` the plant (or its legal part)
-    generates, with the state it reaches: shortest first, and in event order
-    within a length.
+def walk_words(model: PlantSpec, k: int) -> Iterator[tuple[Word, str]]:
+    """Every word of length at most ``k`` the legal subautomaton generates,
+    with the state it reaches: shortest first, and in event order within a
+    length.
     """
-    moves = [(ev, model.successors[ev],
-              model.legal_sources[ev] if legal_only else None)
+    moves = [(ev, model.successors[ev], model.legal_sources[ev])
              for ev in sorted(model.events)]
     frontier: list[tuple[Word, str]] = [((), model.initial)]
     yield frontier[0]
     for _ in range(k):
         nxt: list[tuple[Word, str]] = []
         for word, state in frontier:
-            for ev, row, allowed in moves:
-                dst = row.get(state)
-                if dst is not None and (allowed is None or state in allowed):
-                    nxt.append((word + (ev,), dst))
+            for ev, row, legal_sources in moves:
+                if state in legal_sources:
+                    nxt.append((word + (ev,), row[state]))
         yield from nxt
         frontier = nxt
 

@@ -55,9 +55,16 @@ def verdict_to_json(verdict: Verdict) -> dict:
     return out
 
 
+def _print_json(payload) -> None:
+    # Written piece by piece: a synthesized payload runs to hundreds of KB,
+    # and the whole string would be one more copy of it per command.
+    json.dump(payload, sys.stdout, indent=2)
+    sys.stdout.write("\n")
+
+
 def _print_verdict(verdict: Verdict, as_json: bool) -> None:
     if as_json:
-        print(json.dumps(verdict_to_json(verdict), indent=2))
+        _print_json(verdict_to_json(verdict))
         return
     print(f"condition {verdict.condition}: {'holds' if verdict.holds else 'fails'}")
     if verdict.holds and verdict.defaults:
@@ -95,7 +102,7 @@ def _run_synthesize(args) -> int:
         if args.json:
             payload = verdict_to_json(exc.verdict)
             payload["holds"] = False
-            print(json.dumps(payload, indent=2))
+            _print_json(payload)
         else:
             print(f"synthesis failed: {exc}")
             _print_verdict(exc.verdict, False)
@@ -107,7 +114,7 @@ def _run_synthesize(args) -> int:
             "defaults": {ev: dft.value for ev, dft in sorted(result.defaults.items())},
             "supervisors": [supervisor_to_json(s, result) for s in result.supervisors],
         }
-        print(json.dumps(payload, indent=2))
+        _print_json(payload)
     else:
         print(f"wrote {len(result.supervisors)} supervisors to {args.output}")
         rendered = ", ".join(f"{ev}={dft.value}"
@@ -185,10 +192,7 @@ def _run_oracle(args) -> int:
     model, profile = load_model(args.file)
     if args.mode == "condition":
         which = (args.condition or "extended").replace("-", "_")
-        row = CONDITIONS[which]
-        value = oracle_mod.oracle_condition(model, profile, which,
-                                            relation=row.relations[0],
-                                            world_domain=row.worlds[0])
+        value = oracle_mod.oracle_condition(model, profile, which)
         print(f"oracle {which}: {'holds' if value else 'fails'}")
         return 0 if value else 1
     if args.mode == "solve":

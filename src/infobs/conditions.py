@@ -254,7 +254,7 @@ def check(frame: KripkeFrame, model: PlantSpec, profile: SupervisionProfile,
         raise ModelError(f"unknown condition {which!r}")
     relation, worlds = row.domains(which, relation, worlds)
     pool = {"controllable": profile.sigma_c, "all": model.events,
-            "uncontrollable": profile.sigma_uc(model.events)}.get(events or row.events)
+            "uncontrollable": model.events - profile.sigma_c}.get(events or row.events)
     if pool is None:
         raise ModelError(f"unknown event domain {events!r}")
     domain = frame.legal_bits if worlds == "legal" else frame.all_bits

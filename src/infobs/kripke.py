@@ -106,7 +106,6 @@ class Know(Formula):
     sub: Formula
 
 
-TRUE = Const(True)
 FALSE = Const(False)
 
 
@@ -125,20 +124,6 @@ def any_knows(agents, sub: Formula) -> Formula:
     return or_all(Know(i, sub) for i in agents)
 
 
-def uses_state_legal(phi: Formula) -> bool:
-    if isinstance(phi, Var):
-        return phi.prop.kind == "state_legal"
-    if isinstance(phi, Const):
-        return False
-    if isinstance(phi, Not):
-        return uses_state_legal(phi.sub)
-    if isinstance(phi, (And, Or, Implies)):
-        return uses_state_legal(phi.left) or uses_state_legal(phi.right)
-    if isinstance(phi, Know):
-        return uses_state_legal(phi.sub)
-    raise TypeError(f"not a formula: {phi!r}")
-
-
 def guard_transform(phi: Formula) -> Formula:
     """Push explicit legality guards into every modal subterm.
 
@@ -148,12 +133,12 @@ def guard_transform(phi: Formula) -> Formula:
     formula evaluated under the partial relations; this is exactly what the
     partial relations encapsulate.
     """
-    if uses_state_legal(phi):
-        raise ValueError("guard_transform expects a formula without state_legal")
     return Implies(Var(STATE_LEGAL), _guard(phi))
 
 
 def _guard(phi: Formula) -> Formula:
+    if isinstance(phi, Var) and phi.prop.kind == "state_legal":
+        raise ValueError("guard_transform expects a formula without state_legal")
     if isinstance(phi, (Const, Var)):
         return phi
     if isinstance(phi, Not):
@@ -216,9 +201,8 @@ class KripkeFrame:
             "state_legal": {None: model.legal_states},
             "possible": model.successors, "legal": model.legal_sources}
         self._classes: dict[tuple[int, Relation], list[int]] = {}
-        self._props: dict[tuple[str, str | None], int] = {}
         self._truth: dict[tuple[Relation, Formula], int] = {}
-        self.legal_bits = self._prop_set(STATE_LEGAL)
+        self.legal_bits = self.truth_set(Var(STATE_LEGAL))
 
     # -- structure ---------------------------------------------------------
 
@@ -232,14 +216,13 @@ class KripkeFrame:
     def class_of(self, k: int, i: int, relation: Relation = "partial") -> tuple[int, ...]:
         """Supervisor i's accessibility class of world k, as world numbers.
 
-        Under the partial relation the class of a world with an illegal plant
-        state is empty.
+        The class is read off the classes knowledge is evaluated over; under
+        the partial relation a world with an illegal plant state has none.
         """
-        ids, legal = self.composite.ids[i], self.legal_bits
-        if relation == "partial" and not legal >> k & 1:
-            return ()
-        return tuple(v for v, e in enumerate(ids) if e == ids[k]
-                     and (relation == "total" or legal >> v & 1))
+        for members in self._classes_of(i, relation):
+            if members >> k & 1:
+                return tuple(v for v in range(members.bit_length()) if members >> v & 1)
+        return ()
 
     def lowest(self, bits: int) -> int:
         """The number of the first world of a nonempty set in breadth-first order."""
@@ -248,18 +231,14 @@ class KripkeFrame:
     # -- valuation ---------------------------------------------------------
 
     def _prop_set(self, prop: Prop) -> int:
-        """The worlds where ``prop`` holds, computed once per frame."""
+        """The worlds where ``prop`` holds."""
         if prop.event is not None and prop.event not in self.model.events:
             raise ModelError(f"proposition refers to unknown event {prop.event!r}")
-        key = (prop.kind, prop.event)
-        found = self._props.get(key)
-        if found is None:
-            by_event = self._states.get(prop.kind)
-            if by_event is None:
-                raise ModelError(f"unknown proposition kind {prop.kind!r}")
-            states = by_event.get(prop.event, ())
-            found = self._props[key] = _mask(map(states.__contains__, self.composite.plants))
-        return found
+        by_event = self._states.get(prop.kind)
+        if by_event is None:
+            raise ModelError(f"unknown proposition kind {prop.kind!r}")
+        states = by_event.get(prop.event, ())
+        return _mask(map(states.__contains__, self.composite.plants))
 
     # -- evaluation --------------------------------------------------------
 

@@ -39,9 +39,13 @@ def _parse_indices(spec: str, n: int, line: int) -> frozenset[int]:
         part = part.strip()
         if not part:
             continue
+        # As for the supervisors count: int() alone would also read a sign
+        # or underscores, and refuses digit strings too long to convert.
         try:
-            idx = int(part)
+            idx = int(part) if part.isdecimal() else None
         except ValueError:
+            idx = None
+        if idx is None:
             raise FormatError(f"supervisor index {part!r} is not a number", line)
         if not 1 <= idx <= n:
             raise FormatError(f"supervisor index {idx} out of range 1..{n}", line)
@@ -271,8 +275,9 @@ def save_supervisors(result: SynthesisResult, directory: str | Path) -> list[Pat
     written = []
     for sup in result.supervisors:
         path = directory / f"supervisor_{sup.index + 1}.json"
-        path.write_text(json.dumps(supervisor_to_json(sup, result), indent=2) + "\n",
-                        encoding="utf-8")
+        with path.open("w", encoding="utf-8") as f:
+            json.dump(supervisor_to_json(sup, result), f, indent=2)
+            f.write("\n")
         written.append(path)
     for stale in set(directory.glob("supervisor_*.json")).difference(written):
         stale.unlink()  # left by an earlier save with more supervisors

@@ -60,7 +60,7 @@ def _legal_words(model: PlantSpec, k: int) -> list[tuple[Word, str]]:
     """Legal words up to length k with their plant states, shortest first."""
     if k > MAX_ORACLE_DEPTH:
         raise EnumerationBound(f"depth {k} exceeds the oracle ceiling {MAX_ORACLE_DEPTH}")
-    return list(walk_words(model, k, legal_only=True))
+    return list(walk_words(model, k))
 
 
 def oracle_solves(model: PlantSpec, profile: SupervisionProfile,
@@ -112,13 +112,12 @@ def _estimate(observer: Observer, memo: dict[Word, int], word: Word) -> int:
 # Naive condition checking by direct expansion
 
 def oracle_condition(model: PlantSpec, profile: SupervisionProfile,
-                     which: str, relation: str = "partial",
-                     world_domain: str = "legal") -> bool:
+                     which: str) -> bool:
     """Decide a condition with nested loops straight off its definition.
 
     Supported ids: ``controllability``, ``extended``, ``corrected``,
     ``split``, ``legacy``, ``cp``, ``da``, ``strong_cp``, ``strong_da``.
-    ``relation`` and ``world_domain`` only apply to ``legacy``.
+    ``legacy`` is the published form: the total relations over all worlds.
     """
     composite = build_composite(model, profile)
     worlds = composite.worlds
@@ -194,9 +193,8 @@ def oracle_condition(model: PlantSpec, profile: SupervisionProfile,
         return True
 
     if which in ("corrected", "split", "legacy"):
-        rel = relation if which == "legacy" else "partial"
-        domain = world_domain if which == "legacy" else "legal"
-        pool = worlds if domain == "all" else legal_worlds
+        rel = "total" if which == "legacy" else "partial"
+        pool = worlds if which == "legacy" else legal_worlds
         for ev in sorted(profile.sigma_c):
             ctrl = profile.controllers(ev)
             for w in pool:

@@ -61,7 +61,7 @@ class Simulator:
     def describe_events(self) -> list[str]:
         out = []
         for ev in sorted(self.model.events):
-            possible = self.model.possible(self.plant, ev)
+            possible = self.plant in self.model.successors[ev]
             bits = ["possible" if possible else "not possible"]
             try:
                 fused, blockers = self.fused(ev)
@@ -83,7 +83,7 @@ class Simulator:
     def step(self, event: str) -> list[str]:
         if event not in self.model.events:
             return [f"unknown event {event!r}"]
-        if not self.model.possible(self.plant, event):
+        if self.plant not in self.model.successors[event]:
             return [f"{event} is not possible at {self.plant}"]
         fused, blockers = self.fused(event)
         if fused is DISABLE:

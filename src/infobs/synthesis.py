@@ -13,7 +13,7 @@ demand.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from operator import itemgetter
 from typing import Mapping
@@ -77,13 +77,12 @@ class SynthesisResult:
     supervisors: tuple[Supervisor, ...]
     defaults: Mapping[str, FusedDecision]
     provenance: Mapping[tuple[int, int, str], PolicyCase]
-    frame: KripkeFrame | None = field(default=None, compare=False, repr=False)
 
     def require_fits(self, profile: SupervisionProfile) -> None:
         """Raise :class:`ModelError` unless there is one supervisor per
         profile entry, each observing only events the profile lets it see
-        and deciding only events it controls, and a default for every
-        controlled event."""
+        and deciding only events it controls, and a default for exactly the
+        controlled events."""
         if len(self.supervisors) != profile.n:
             raise ModelError("one supervisor per profile entry is required")
         for i, s in enumerate(self.supervisors):
@@ -97,6 +96,9 @@ class SynthesisResult:
         if missing:
             raise ModelError("no default for controlled events: "
                              + ", ".join(sorted(missing)))
+        if extra := self.defaults.keys() - profile.sigma_c:
+            raise ModelError("defaults for events no supervisor controls: "
+                             + ", ".join(sorted(extra)))
 
 
 def policy_truths(frame: KripkeFrame, k: int, event: str, i: int) -> tuple[bool, bool, bool, bool]:
@@ -179,7 +181,7 @@ def synthesize(model: PlantSpec, profile: SupervisionProfile,
         supervisors.append(Supervisor(frame.composite.observers[i], table))
     assert observability.defaults is not None
     return SynthesisResult(tuple(supervisors), dict(observability.defaults),
-                           provenance, frame)
+                           provenance)
 
 
 def closed_loop(model: PlantSpec, profile: SupervisionProfile,

@@ -268,7 +268,7 @@ def reference_solves(model: PlantSpec, profile: SupervisionProfile, result,
         raise EnumerationBound(f"depth {k} exceeds the oracle ceiling {MAX_ORACLE_DEPTH}")
     result.require_fits(profile)
     sigma_c = profile.sigma_c
-    for word, state in walk_words(model, k, legal_only=True):
+    for word, state in walk_words(model, k):
         for ev in sorted(model.events):
             if state not in model.successors[ev]:
                 continue
@@ -544,7 +544,7 @@ def estimate_groups(model: PlantSpec, profile: SupervisionProfile, i: int,
     every composite configuration, which holds for the desk-scale fixtures.
     """
     groups: dict = defaultdict(set)
-    for word, _state in walk_words(model, k):
+    for word in automaton_language((model.initial, model.delta), k):
         proj = tuple(ev for ev in word if ev in profile.observable[i])
         groups[proj].add(run_word(model, word))
     return {proj: frozenset(states) for proj, states in groups.items()}

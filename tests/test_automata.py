@@ -64,25 +64,15 @@ class TestReachable:
         model = chain(["q0"], [], events={"a"})
         assert reachable(model) == frozenset({"q0"})
 
-    def test_legal_reachability_follows_legal_transitions_only(self, legacy_gap):
-        model, _ = legacy_gap
-        assert reachable(model, legal_only=True) == frozenset({"q0", "q1", "q5"})
 
-
-def language(model, k, legal_only=False):
-    return {word for word, _state in walk_words(model, k, legal_only)}
+def language(model, k):
+    return {word for word, _state in walk_words(model, k)}
 
 
 class TestWalkWords:
     def test_legal_language_of_the_gap_model(self, legacy_gap):
         model, _ = legacy_gap
-        assert language(model, 3, legal_only=True) == {
-            (), ("a",), ("a", "g")}
-
-    def test_full_language_of_the_gap_model(self, legacy_gap):
-        model, _ = legacy_gap
-        assert language(model, 3) == {
-            (), ("a",), ("g",), ("a", "g"), ("g", "a"), ("g", "a", "g")}
+        assert language(model, 3) == {(), ("a",), ("a", "g")}
 
     def test_zero_bound_gives_the_empty_word(self, legacy_gap):
         model, _ = legacy_gap
@@ -93,18 +83,16 @@ class TestWalkWords:
             for k in (0, 2, 4):
                 words = language(model, k)
                 assert all(w[:-1] in words for w in words if w)
-                assert language(model, k, legal_only=True) <= words
+                assert words <= automaton_language((model.initial, model.delta), k)
 
     def test_walk_is_shortest_first_in_event_order(self):
         for model, _profile in instance_stream(13, 30):
-            for legal_only, rows in ((False, (model.initial, model.delta)),
-                                     (True, legal_rows(model))):
-                walked = list(walk_words(model, 4, legal_only))
-                words = [word for word, _state in walked]
-                assert words == sorted(set(words), key=lambda w: (len(w), w))
-                assert set(words) == automaton_language(rows, 4)
-                for word, state in walked:
-                    assert state == run_word(model, word)
+            walked = list(walk_words(model, 4))
+            words = [word for word, _state in walked]
+            assert words == sorted(set(words), key=lambda w: (len(w), w))
+            assert set(words) == automaton_language(legal_rows(model), 4)
+            for word, state in walked:
+                assert state == run_word(model, word)
 
 
 class TestReferenceEquivalent:
@@ -171,7 +159,6 @@ class TestSupervisionProfile:
         model, profile = legacy_gap
         assert profile.n == 2
         assert profile.sigma_c == frozenset({"g"})
-        assert profile.sigma_uc(model.events) == frozenset({"a"})
         assert profile.controllers("g") == (0, 1)
         assert profile.controllers("a") == ()
 

@@ -67,7 +67,7 @@ def test_traced_check_and_oracle_count_the_model_they_parse(path):
     spans = load_spans()
     model, _profile = load_model(path)
     transitions = sum(map(len, model.successors.values()))
-    legal_words = len(list(walk_words(model, 6, legal_only=True)))
+    legal_words = len(list(walk_words(model, 6)))
     tracer, _code = traced(spans, ["check", str(path)])
     assert tracer.counts["modelfile.transitions"] == transitions
     tracer, _code = traced(spans, ["oracle", str(path), "--mode", "solve"])
@@ -128,4 +128,4 @@ def test_traced_verify_and_solve_record_their_spans(path, tmp_path):
         assert code == 0
         assert names <= {span[0] for span in tracer.spans}
         assert tracer.counts["oracle.legal_words"] == len(
-            list(walk_words(model, depth, legal_only=True)))
+            list(walk_words(model, depth)))

@@ -329,6 +329,24 @@ class TestInputHardening:
             assert code == 2 and not out
             assert "supervisor 1 decides events it does not control: a" in err
 
+    @pytest.mark.parametrize("argv", [("verify",), ("oracle", "--mode", "solve"),
+                                      ("simulate",)], ids=lambda a: a[-1])
+    def test_defaults_for_uncontrolled_events_exit_two(self, capsys, monkeypatch,
+                                                       tmp_path, argv):
+        # a is uncontrollable in the bets model and zzz is no event at all;
+        # a default for either would otherwise be accepted and never read.
+        out_dir = tmp_path / "sup"
+        assert run(capsys, "synthesize", BETS, "-o", str(out_dir))[0] == 0
+        path = out_dir / "defaults.json"
+        data = json.loads(path.read_text())
+        data["defaults"].update(a="disable", zzz="enable")
+        path.write_text(json.dumps(data))
+        monkeypatch.setattr(sys, "stdin", io.StringIO("events\nquit\n"))
+        code, out, err = run(capsys, argv[0], BETS, *argv[1:],
+                             "--supervisors", str(out_dir))
+        assert code == 2 and not out
+        assert "defaults for events no supervisor controls: a, zzz" in err
+
     def test_depth_flag_in_condition_mode_is_refused(self, capsys):
         code, out, err = run(capsys, "oracle", GAP, "--mode", "condition",
                              "--depth", "3")

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from infobs import (Implies, Know, Not, Or, STATE_LEGAL, Var, any_knows,
+from infobs import (And, Implies, Know, Not, Or, STATE_LEGAL, Var, any_knows,
                     build_frame, default_frame, guard_transform, legal,
                     possible)
 from infobs.kripke import FALSE
@@ -44,6 +44,20 @@ class TestAccessibility:
                     total = set(frame.class_of(k, i, "total"))
                     assert partial <= total
                     assert (not partial) == (w.plant not in model.legal_states)
+
+    def test_classes_match_a_reference_built_from_the_worlds(self):
+        # Same estimate set; under the partial relation both worlds legal.
+        for model, profile, frame in _frames(instance_stream(61, 30)):
+            worlds = frame.worlds
+            for k, w in enumerate(worlds):
+                for i in range(profile.n):
+                    same = tuple(v for v, u in enumerate(worlds)
+                                 if u.estimates[i] == w.estimates[i])
+                    legal_same = tuple(v for v in same
+                                       if worlds[v].plant in model.legal_states)
+                    assert frame.class_of(k, i, "total") == same
+                    assert frame.class_of(k, i, "partial") == (
+                        legal_same if w.plant in model.legal_states else ())
 
     def test_all_legal_model_collapses_partial_into_total(self):
         for model, profile, frame in _frames(
@@ -185,6 +199,22 @@ class TestGuardTransform:
     def test_guarded_input_is_rejected(self):
         with pytest.raises(ValueError):
             guard_transform(Var(STATE_LEGAL))
+
+    @pytest.mark.parametrize("phi", [
+        Know(0, Var(STATE_LEGAL)),
+        Not(Var(STATE_LEGAL)),
+        And(Var(possible("g")), Var(STATE_LEGAL)),
+        Implies(Var(STATE_LEGAL), Var(possible("g"))),
+    ], ids=["under-know", "under-not", "right-of-and", "left-of-implies"])
+    def test_nested_state_legal_is_rejected(self, phi):
+        with pytest.raises(ValueError):
+            guard_transform(phi)
+
+    def test_the_first_defect_in_left_first_order_decides_the_error(self):
+        with pytest.raises(TypeError):
+            guard_transform(And("not a formula", Var(STATE_LEGAL)))
+        with pytest.raises(ValueError):
+            guard_transform(And(Var(STATE_LEGAL), "not a formula"))
 
     def test_partial_relation_packs_the_guards(self):
         # At legal worlds: partial-relation truth == total-relation truth of

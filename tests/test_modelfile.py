@@ -50,6 +50,10 @@ class TestParse:
         ("event a", "duplicate event", 9),
         ("supervisors 2", "duplicate supervisors", 9),
         ("event h obs=7", "out of range", 9),
+        # int() alone would read a sign or an underscore.
+        ("event h obs=+1", "supervisor index '+1' is not a number", 9),
+        ("event h obs=1_0", "supervisor index '1_0' is not a number", 9),
+        ("event h obs=-1", "supervisor index '-1' is not a number", 9),
         ("state q9", "unreachable", 9),
         ("banana", "unknown directive", 9),
     ])

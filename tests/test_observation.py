@@ -228,10 +228,11 @@ class TestComposeAgainstTheReference:
     def test_synthesis_and_verification_build_no_world(self, request, name,
                                                        closed_loop_calls):
         model, profile = request.getfixturevalue(name)
-        result = synthesize(model, profile)
+        frame = default_frame(model, profile)
+        result = synthesize(model, profile, frame)
         assert verify_solution(model, profile, result).equal
         ((*_args, loop),) = closed_loop_calls
-        for composite in (result.frame.composite, loop):
+        for composite in (frame.composite, loop):
             assert "worlds" not in vars(composite)
 
     @pytest.mark.parametrize("name", ["legacy_gap", "diamond"])

@@ -103,15 +103,11 @@ class TestOracleCondition:
                                    "strong_da").holds,
                 "controllability": check(frame, model, profile,
                                          "controllability").holds,
+                "legacy": check(frame, model, profile, "legacy").holds,
             }
             for which, expected in checks.items():
                 if oracle_condition(model, profile, which) != expected:
                     mismatches += 1
-            legacy = check(frame, model, profile, "legacy",
-                           worlds="all", relation="total")
-            if oracle_condition(model, profile, "legacy", relation="total",
-                                world_domain="all") != legacy.holds:
-                mismatches += 1
         assert mismatches == 0
 
     def test_oversized_instances_are_refused(self, legacy_gap, monkeypatch):

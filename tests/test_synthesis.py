@@ -261,8 +261,9 @@ class TestCouplingInvariants:
         # the fused decision matches the requirement exactly.
         from infobs.conditions import _extended_lines
         from infobs.fusion import fuse
-        for model, profile, result in synthesized_instances[:60]:
-            frame = result.frame
+        for model, profile, _result in synthesized_instances[:60]:
+            frame = default_frame(model, profile)
+            result = synthesize(model, profile, frame)
             for ev in sorted(profile.sigma_c):
                 lines = _extended_lines(profile, ev)
                 for k, w in enumerate(frame.worlds):
@@ -281,8 +282,8 @@ class TestCouplingInvariants:
                         assert fused is not ENABLE
 
     def test_deferring_abstention_is_backed_by_another_definite_vote(self, synthesized_instances):
-        for model, profile, result in synthesized_instances[:60]:
-            frame = result.frame
+        for model, profile, _result in synthesized_instances[:60]:
+            frame = default_frame(model, profile)
             for ev in sorted(profile.sigma_c):
                 controllers = profile.controllers(ev)
                 for k, w in enumerate(frame.worlds):
@@ -293,8 +294,8 @@ class TestCouplingInvariants:
                         assert any(d in (ON, OFF) for d, _c in cases)
 
     def test_definite_votes_never_conflict_where_the_event_is_possible(self, synthesized_instances):
-        for model, profile, result in synthesized_instances[:60]:
-            frame = result.frame
+        for model, profile, _result in synthesized_instances[:60]:
+            frame = default_frame(model, profile)
             for ev in sorted(profile.sigma_c):
                 for k, w in enumerate(frame.worlds):
                     if (w.plant, ev) not in model.delta:
