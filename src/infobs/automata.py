@@ -172,7 +172,7 @@ def walk_words(model: PlantSpec, k: int) -> Iterator[tuple[Word, str]]:
             for ev, row, legal_sources in moves:
                 if state in legal_sources:
                     nxt.append((word + (ev,), row[state]))
-        yield from nxt
+                    yield nxt[-1]
         frontier = nxt
 
 

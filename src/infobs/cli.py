@@ -87,17 +87,15 @@ def _run_check(args) -> int:
                                                      args.worlds)
     except ModelError as exc:
         raise UsageError(str(exc)) from None
-    model, profile = load_model(args.file)
-    verdict = check(default_frame(model, profile), model, profile, which,
-                    relation, worlds)
+    verdict = check(default_frame(*load_model(args.file)), which, relation, worlds)
     _print_verdict(verdict, args.json)
     return 0 if verdict.holds else 1
 
 
 def _run_synthesize(args) -> int:
-    model, profile = load_model(args.file)
     try:
-        result = synthesize(model, profile)
+        # The frame is let go before the output is written.
+        result = synthesize(default_frame(*load_model(args.file)))
     except SynthesisError as exc:
         if args.json:
             payload = verdict_to_json(exc.verdict)
@@ -136,12 +134,12 @@ def _run_verify(args) -> int:
     model, profile = load_model(args.file)
     result = load_supervisors(args.supervisors)
     verdict = verify_solution(model, profile, result)
+    check = oracle_mod.oracle_solves(model, profile, result, k=args.depth)
     if verdict.equal:
         print("closed loop equals the legal language")
     else:
         print("closed loop differs from the legal language;"
               f" distinguishing word: {format_word(verdict.counterexample)}")
-    check = oracle_mod.oracle_solves(model, profile, result, k=args.depth)
     if check.ok:
         print(f"oracle cross-check at depth {args.depth}: pass")
     else:
@@ -152,18 +150,17 @@ def _run_verify(args) -> int:
 
 
 def _run_simulate(args) -> int:
-    model, profile = load_model(args.file)
-    frame = default_frame(model, profile)
+    frame = default_frame(*load_model(args.file))
     if args.supervisors:
         result = load_supervisors(args.supervisors)
     else:
         try:
-            result = synthesize(model, profile, frame)
+            result = synthesize(frame)
         except SynthesisError as exc:
             print(f"cannot simulate: {exc}")
             _print_verdict(exc.verdict, False)
             return 1
-    run_simulation(model, profile, result, frame, sys.stdin, sys.stdout)
+    run_simulation(frame, result, sys.stdin, sys.stdout)
     return 0
 
 
@@ -200,11 +197,11 @@ def _run_oracle(args) -> int:
             result = load_supervisors(args.supervisors)
         else:
             try:
-                result = synthesize(model, profile)
+                result = synthesize(default_frame(model, profile))
             except SynthesisError as exc:
                 print(f"cannot synthesize supervisors to check: {exc}")
                 return 1
-        depth = args.depth if args.depth is not None else 6
+        depth = args.depth if args.depth is not None else oracle_mod.DEFAULT_ORACLE_DEPTH
         verdict = oracle_mod.oracle_solves(model, profile, result, k=depth)
         if verdict.ok:
             print(f"solves the control problem up to depth {depth}")
@@ -213,7 +210,8 @@ def _run_oracle(args) -> int:
               f" after {format_word(verdict.string)}")
         return 1
     # mode == "search"
-    depth = args.depth if args.depth is not None else len(model.states) + 1
+    depth = (args.depth if args.depth is not None
+             else min(len(model.states) + 1, oracle_mod.MAX_ORACLE_DEPTH))
     found = oracle_mod.exhaustive_supervisor_search(model, profile, depth)
     if found.exists:
         print(f"a solving supervisor assignment exists (checked depth {depth})")
@@ -247,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="verify supervisors against a model")
     verify.add_argument("file")
     verify.add_argument("--supervisors", required=True)
-    verify.add_argument("--depth", type=int, default=6)
+    verify.add_argument("--depth", type=int, default=oracle_mod.DEFAULT_ORACLE_DEPTH)
     verify.set_defaults(func=_run_verify)
 
     simulate = sub.add_parser("simulate", help="interactive event stepping")

@@ -237,11 +237,11 @@ CONDITIONS: dict[str, Condition] = {
 }
 
 
-def check(frame: KripkeFrame, model: PlantSpec, profile: SupervisionProfile,
-          which: str, relation: Relation | None = None,
+def check(frame: KripkeFrame, which: str, relation: Relation | None = None,
           worlds: WorldDomain | None = None,
           events: EventDomain | None = None) -> Verdict:
-    """Decide the condition ``which`` (a key of :data:`CONDITIONS`).
+    """Decide the condition ``which`` (a key of :data:`CONDITIONS`) for the
+    frame's model and profile.
 
     ``relation`` and ``worlds`` default to the row's first entries and must
     be among them; ``events`` overrides the row's event domain.  Running
@@ -253,6 +253,7 @@ def check(frame: KripkeFrame, model: PlantSpec, profile: SupervisionProfile,
     if row is None:
         raise ModelError(f"unknown condition {which!r}")
     relation, worlds = row.domains(which, relation, worlds)
+    model, profile = frame.model, frame.profile
     pool = {"controllable": profile.sigma_c, "all": model.events,
             "uncontrollable": model.events - profile.sigma_c}.get(events or row.events)
     if pool is None:

@@ -6,8 +6,11 @@ from .automata import PlantSpec
 from .observation import Composite, World
 
 
-def _quote(name: str) -> str:
-    return '"' + name.replace('"', r'\"') + '"'
+def _quote(*rows: str) -> str:
+    """One DOT string of the rows, stacked by ``\\n`` line breaks; a
+    backslash or quote inside a row is escaped."""
+    return '"' + r"\n".join(row.replace("\\", r"\\").replace('"', r'\"')
+                            for row in rows) + '"'
 
 
 def model_to_dot(model: PlantSpec) -> str:
@@ -29,8 +32,7 @@ def model_to_dot(model: PlantSpec) -> str:
 def _world_label(w: World) -> str:
     # Components stacked vertically: plant state on top, then one estimate
     # per supervisor in order.
-    rows = [w.plant] + ["{" + ",".join(sorted(est)) + "}" for est in w.estimates]
-    return "\\n".join(rows)
+    return _quote(w.plant, *("{" + ",".join(sorted(est)) + "}" for est in w.estimates))
 
 
 def composite_to_dot(composite: Composite, model: PlantSpec) -> str:
@@ -38,7 +40,7 @@ def composite_to_dot(composite: Composite, model: PlantSpec) -> str:
     lines = ["digraph composite {", "  rankdir=LR;", '  node [shape=box];']
     for k, w in enumerate(composite.worlds):
         peripheries = 2 if w.plant in model.legal_states else 1
-        lines.append(f"  w{k} [label={_quote(_world_label(w))}"
+        lines.append(f"  w{k} [label={_world_label(w)}"
                      f", peripheries={peripheries}];")
     lines.append(f"  __start [shape=point];")
     lines.append(f"  __start -> w0;")

@@ -21,7 +21,7 @@ Three validators:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import islice, product
 
 from .automata import PlantSpec, SupervisionProfile, Word, walk_words
 from .errors import (ControlConflict, EnumerationBound, InstanceTooLarge,
@@ -33,6 +33,12 @@ from .synthesis import Supervisor, SynthesisResult
 
 #: Depth ceiling for string-level replay.
 MAX_ORACLE_DEPTH = 10
+
+#: Replay depth when none is given.
+DEFAULT_ORACLE_DEPTH = 6
+
+#: Ceiling on the number of legal words one replay or search walks.
+MAX_ORACLE_WORDS = 100_000
 
 #: Ceiling on total decision-table cells for the exhaustive search.
 MAX_SEARCH_CELLS = 10
@@ -57,14 +63,20 @@ class OracleVerdict:
 
 
 def _legal_words(model: PlantSpec, k: int) -> list[tuple[Word, str]]:
-    """Legal words up to length k with their plant states, shortest first."""
+    """Legal words up to length k with their plant states, shortest first;
+    the walk stops one word past the budget."""
     if k > MAX_ORACLE_DEPTH:
         raise EnumerationBound(f"depth {k} exceeds the oracle ceiling {MAX_ORACLE_DEPTH}")
-    return list(walk_words(model, k))
+    words = list(islice(walk_words(model, k), MAX_ORACLE_WORDS + 1))
+    if len(words) > MAX_ORACLE_WORDS:
+        raise EnumerationBound(f"depth {k} gives more than {MAX_ORACLE_WORDS}"
+                               " legal words, the oracle's word budget")
+    return words
 
 
 def oracle_solves(model: PlantSpec, profile: SupervisionProfile,
-                  result: SynthesisResult, k: int = 6) -> OracleVerdict:
+                  result: SynthesisResult,
+                  k: int = DEFAULT_ORACLE_DEPTH) -> OracleVerdict:
     """Replay the solvability requirements over all words of length <= k.
 
     Each controller's observer is stepped once per word prefix, and only

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import IO
 
-from .automata import PlantSpec, SupervisionProfile, format_word
+from .automata import format_word
 from .errors import ModelError
 from .explain import explain
 from .fusion import DISABLE, ENABLE, OFF, WOFF, fuse
@@ -24,18 +24,15 @@ _HELP = """commands:
 class Simulator:
     """Tracks the plant state, each supervisor's own estimate id, and the word so far."""
 
-    def __init__(self, model: PlantSpec, profile: SupervisionProfile,
-                 result: SynthesisResult, frame: KripkeFrame):
-        result.require_fits(profile)
-        self.model = model
-        self.profile = profile
-        self.result = result
+    def __init__(self, frame: KripkeFrame, result: SynthesisResult):
+        result.require_fits(frame.profile)
         self.frame = frame
+        self.result = result
         self.reset()
 
     def reset(self) -> None:
         self.word: tuple[str, ...] = ()
-        self.plant = self.model.initial
+        self.plant = self.frame.model.initial
         self.estimates = (0,) * len(self.result.supervisors)
 
     # -- queries -----------------------------------------------------------
@@ -43,7 +40,7 @@ class Simulator:
     def fused(self, event: str):
         """Fused decision and the supervisors that force it, or None if
         the event is uncontrollable."""
-        controllers = self.profile.controllers(event)
+        controllers = self.frame.profile.controllers(event)
         if not controllers:
             return None, ()
         bag = {i: self.result.supervisors[i].decide(self.estimates[i], event)
@@ -60,8 +57,8 @@ class Simulator:
 
     def describe_events(self) -> list[str]:
         out = []
-        for ev in sorted(self.model.events):
-            possible = self.plant in self.model.successors[ev]
+        for ev in sorted(self.frame.model.events):
+            possible = self.plant in self.frame.model.successors[ev]
             bits = ["possible" if possible else "not possible"]
             try:
                 fused, blockers = self.fused(ev)
@@ -81,9 +78,9 @@ class Simulator:
         return out
 
     def step(self, event: str) -> list[str]:
-        if event not in self.model.events:
+        if event not in self.frame.model.events:
             return [f"unknown event {event!r}"]
-        if self.plant not in self.model.successors[event]:
+        if self.plant not in self.frame.model.successors[event]:
             return [f"{event} is not possible at {self.plant}"]
         fused, blockers = self.fused(event)
         if fused is DISABLE:
@@ -96,12 +93,12 @@ class Simulator:
             s.observer.step(est, event)
             for s, est in zip(self.result.supervisors, self.estimates))
         self.word += (event,)
-        self.plant = self.model.successors[event][self.plant]
+        self.plant = self.frame.model.successors[event][self.plant]
         return [f"stepped on {event}; word so far: {format_word(self.word)}",
                 f"plant state: {self.plant}"]
 
     def why(self, event: str) -> list[str]:
-        if event not in self.model.events:
+        if event not in self.frame.model.events:
             return [f"unknown event {event!r}"]
         return explain(self.frame, self.result, self.plant, event,
                        self.estimates).lines()
@@ -111,12 +108,11 @@ class Simulator:
                 for s, k in zip(self.result.supervisors, self.estimates)]
 
 
-def run_simulation(model: PlantSpec, profile: SupervisionProfile,
-                   result: SynthesisResult, frame: KripkeFrame,
+def run_simulation(frame: KripkeFrame, result: SynthesisResult,
                    lines: IO[str], out: IO[str]) -> None:
-    sim = Simulator(model, profile, result, frame)
-    print(f"simulating {len(model.states)} states, {profile.n} supervisors;"
-          " type 'help' for commands", file=out)
+    sim = Simulator(frame, result)
+    print(f"simulating {len(frame.model.states)} states,"
+          f" {frame.profile.n} supervisors; type 'help' for commands", file=out)
     for raw in lines:
         tokens = raw.strip().split()
         if not tokens:

@@ -19,7 +19,7 @@ from operator import itemgetter
 from typing import Mapping
 
 from .automata import EquivalenceVerdict, PlantSpec, SupervisionProfile
-from .conditions import check, default_frame, knowledge_lines
+from .conditions import check, knowledge_lines
 from .errors import (ModelError, NotControllable, NotInferenceObservable,
                      PolicyAmbiguity)
 from .fusion import ABSTAIN, ENABLE, OFF, ON, WOFF, WON, ControlDecision, \
@@ -155,26 +155,24 @@ def project_policy(frame: KripkeFrame, i: int, event: str
     return fallback | table
 
 
-def synthesize(model: PlantSpec, profile: SupervisionProfile,
-               frame: KripkeFrame | None = None) -> SynthesisResult:
-    """Check the two conditions, then read the supervisors off the policy.
+def synthesize(frame: KripkeFrame) -> SynthesisResult:
+    """Check the two conditions on the frame, then read the supervisors off
+    the policy.
 
     Raises :class:`NotControllable` or :class:`NotInferenceObservable` with
     the failing verdict attached.
     """
-    if frame is None:
-        frame = default_frame(model, profile)
-    controllability = check(frame, model, profile, "controllability")
+    controllability = check(frame, "controllability")
     if not controllability.holds:
         raise NotControllable(controllability)
-    observability = check(frame, model, profile, "extended")
+    observability = check(frame, "extended")
     if not observability.holds:
         raise NotInferenceObservable(observability)
     supervisors = []
     provenance: dict[tuple[int, int, str], PolicyCase] = {}
-    for i in range(profile.n):
+    for i in range(frame.profile.n):
         table: dict[tuple[int, str], ControlDecision] = {}
-        for ev in sorted(profile.controllable[i]):
+        for ev in sorted(frame.profile.controllable[i]):
             for e, (decision, case) in project_policy(frame, i, ev).items():
                 table[(e, ev)] = decision
                 provenance[(i, e, ev)] = case

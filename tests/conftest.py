@@ -123,7 +123,7 @@ def synthesized_instances():
         attempts += 1
         model, profile = random_instance(rng)
         try:
-            result = synthesize(model, profile)
+            result = synthesize(default_frame(model, profile))
         except SynthesisError:
             continue
         out.append((model, profile, result))
@@ -160,8 +160,8 @@ def tiny_instances():
         depth = len(model.states) + 1
         if any(len(word) > depth for word in frame.composite.words):
             continue
-        holds = (check(frame, model, profile, "controllability").holds
-                 and check(frame, model, profile, "extended").holds)
+        holds = (check(frame, "controllability").holds
+                 and check(frame, "extended").holds)
         negatives += (not holds)
         out.append((model, profile, frame, depth, holds))
     assert len(out) >= 50 and negatives >= 8

@@ -53,13 +53,13 @@ def test_criterion_02_legacy_gap_phenomenon(legacy_gap, legacy_gap_frame):
     started = time.perf_counter()
     model, profile = legacy_gap
     frame = legacy_gap_frame
-    legacy = check(frame, model, profile, "legacy", worlds="all",
+    legacy = check(frame, "legacy", worlds="all",
                    relation="total")
     assert not legacy.holds
     assert legacy.counterexample.string == ("g", "a")
-    assert check(frame, model, profile, "corrected").holds
-    assert check(frame, model, profile, "controllability").holds
-    result = synthesize(model, profile, frame)
+    assert check(frame, "corrected").holds
+    assert check(frame, "controllability").holds
+    result = synthesize(frame)
     loop = (0, composite_delta(closed_loop(model, profile, result)))
     expected = (0, {(0, "a"): 1, (1, "g"): 2})
     assert reference_equivalent(loop, expected).equal
@@ -76,19 +76,18 @@ def test_criterion_03_conditional_bets_separation(conditional_bets,
     started = time.perf_counter()
     model, profile = conditional_bets
     frame = conditional_bets_frame
-    cp = check(frame, model, profile, "cp")
+    cp = check(frame, "cp")
     assert not cp.holds and cp.counterexample.string == ()
-    assert check(frame, model, profile, "corrected").holds
-    assert check(frame, model, profile, "extended").holds
+    assert check(frame, "corrected").holds
+    assert check(frame, "extended").holds
     # The approve-only failure lives on the legality mirror of the fixture.
     mirror_model, mirror_profile = conditional_bets_mirror
-    da = check(mirror_frame, mirror_model, mirror_profile, "da")
+    da = check(mirror_frame, "da")
     assert not da.holds and da.counterexample.string == ()
-    assert check(mirror_frame, mirror_model,
-                 mirror_profile, "corrected").holds
-    assert check(mirror_frame, mirror_model, mirror_profile, "extended").holds
+    assert check(mirror_frame, "corrected").holds
+    assert check(mirror_frame, "extended").holds
 
-    result = synthesize(model, profile, frame)
+    result = synthesize(frame)
     decisions = [s.table[(0, "g")] for s in result.supervisors]
     assert decisions == [WOFF, WOFF]
     assert fuse(decisions, result.defaults["g"]) is DISABLE
@@ -110,8 +109,8 @@ def test_criterion_04_coupled_split_equivalence(n2_instances):
     assert len(n2_instances) >= 200
     disagreements = 0
     for model, profile, frame in n2_instances:
-        coupled = check(frame, model, profile, "corrected")
-        split = check(frame, model, profile, "split")
+        coupled = check(frame, "corrected")
+        split = check(frame, "split")
         disagreements += (coupled.holds != split.holds)
     assert disagreements == 0
     report(4, "coupled/split equivalence on 200+ instances")
@@ -120,9 +119,9 @@ def test_criterion_04_coupled_split_equivalence(n2_instances):
 def test_criterion_05_controllability_separation(n2_instances):
     disagreements = 0
     for model, profile, frame in n2_instances:
-        left = (check(frame, model, profile, "controllability").holds
-                and check(frame, model, profile, "corrected").holds)
-        right = check(frame, model, profile, "legacy",
+        left = (check(frame, "controllability").holds
+                and check(frame, "corrected").holds)
+        right = check(frame, "legacy",
                       worlds="legal", events="all",
                       relation="partial").holds
         disagreements += (left != right)
@@ -184,14 +183,12 @@ def test_criterion_09_weakening_chain(n2_instances, conditional_bets,
                                       legacy_gap, legacy_gap_frame):
     violations = 0
     for model, profile, frame in n2_instances:
-        extended = check(frame, model, profile, "extended").holds
-        corrected = check(frame, model, profile, "corrected").holds
-        cp = check(frame, model, profile, "cp").holds
-        da = check(frame, model, profile, "da").holds
-        strong_cp = check(frame, model, profile,
-                          "strong_cp").holds
-        strong_da = check(frame, model, profile,
-                          "strong_da").holds
+        extended = check(frame, "extended").holds
+        corrected = check(frame, "corrected").holds
+        cp = check(frame, "cp").holds
+        da = check(frame, "da").holds
+        strong_cp = check(frame, "strong_cp").holds
+        strong_da = check(frame, "strong_da").holds
         for stronger, weaker in ((corrected, extended), (cp, extended),
                                  (da, extended), (strong_cp, cp),
                                  (strong_da, da)):
@@ -199,15 +196,14 @@ def test_criterion_09_weakening_chain(n2_instances, conditional_bets,
     assert violations == 0
     # Strictness witnesses from the fixtures of criteria 2 and 3.
     model, profile = conditional_bets
-    assert check(conditional_bets_frame, model, profile, "extended").holds
-    assert not check(conditional_bets_frame, model, profile,
-                     "cp").holds
+    assert check(conditional_bets_frame, "extended").holds
+    assert not check(conditional_bets_frame, "cp").holds
     model, profile = conditional_bets_mirror
-    assert check(mirror_frame, model, profile, "extended").holds
-    assert not check(mirror_frame, model, profile, "da").holds
+    assert check(mirror_frame, "extended").holds
+    assert not check(mirror_frame, "da").holds
     model, profile = legacy_gap
-    assert check(legacy_gap_frame, model, profile, "extended").holds
-    assert not check(legacy_gap_frame, model, profile, "legacy",
+    assert check(legacy_gap_frame, "extended").holds
+    assert not check(legacy_gap_frame, "legacy",
                      worlds="all", relation="total").holds
     report(9, "weakening chain with strict witnesses")
 
@@ -226,19 +222,19 @@ def test_criterion_10_round_trip_and_deterministic_reporting():
         out = []
         model, profile = parse_model((MODELS / "legacy_gap.des").read_text())
         frame = default_frame(model, profile)
-        legacy = check(frame, model, profile, "legacy",
+        legacy = check(frame, "legacy",
                        worlds="all", relation="total")
         out.append((legacy.counterexample.event, legacy.counterexample.string))
         model, profile = parse_model(
             (MODELS / "diamond_unsolvable.des").read_text())
         frame = default_frame(model, profile)
-        extended = check(frame, model, profile, "extended")
+        extended = check(frame, "extended")
         out.append((extended.counterexample.string,
                     extended.counterexample.conflict_string))
         model, profile = parse_model(
             (MODELS / "conditional_bets.des").read_text())
         frame = default_frame(model, profile)
-        cp = check(frame, model, profile, "cp")
+        cp = check(frame, "cp")
         out.append((cp.counterexample.event, cp.counterexample.string))
         return out
 

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from infobs import load_model, synthesize
+from infobs import default_frame, load_model, synthesize
 from infobs.automata import walk_words
 from infobs.cli import main
 
@@ -49,7 +49,7 @@ def test_traced_synthesize_counts_the_result_it_builds(tmp_path):
     tracer, code = traced(spans, ["synthesize", str(bets), "-o", str(tmp_path)])
     assert code == 0
 
-    result = synthesize(*load_model(bets))
+    result = synthesize(default_frame(*load_model(bets)))
     cases = Counter(case.value for case in result.provenance.values())
     assert tracer.counts["observation.estimates"] == sum(
         len(s.observer.states) for s in result.supervisors)

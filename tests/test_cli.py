@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from infobs import cli
+from infobs import cli, oracle
 from infobs.cli import CHOICES, main
 from infobs.modelfile import load_model
 
@@ -189,6 +189,28 @@ class TestExportDot:
         assert code == 0
         assert 'label="q0\\n{q0,q2}\\n{q0,q1,q2,q3,q4,q5}"' in out
 
+    @pytest.fixture
+    def escapes(self, tmp_path):
+        model = tmp_path / "escapes.des"
+        model.write_text("supervisors 1\nevent a obs=1\nstate q\\ init legal\n"
+                         'state r" legal\ntrans q\\ a r" legal\n')
+        return str(model)
+
+    def test_plant_graph_escapes_backslashes_and_quotes(self, capsys, escapes):
+        code, out, _ = run(capsys, "export-dot", escapes)
+        assert code == 0
+        lines = out.splitlines()
+        assert r'  "q\\" [peripheries=2];' in lines
+        assert r'  __start -> "q\\";' in lines
+        assert r'  "q\\" -> "r\"" [label="a", style=solid];' in lines
+
+    def test_composite_labels_escape_each_row(self, capsys, escapes):
+        code, out, _ = run(capsys, "export-dot", escapes, "--composite")
+        assert code == 0
+        lines = out.splitlines()
+        assert r'  w0 [label="q\\\n{q\\}", peripheries=2];' in lines
+        assert r'  w1 [label="r\"\n{r\"}", peripheries=2];' in lines
+
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "g.dot"
         code, _, _ = run(capsys, "export-dot", GAP, "-o", str(target))
@@ -275,20 +297,38 @@ class TestInputHardening:
             code, out, err = run(capsys, *argv)
             assert code == 2 and not out and "--depth" in err
 
-    def test_default_search_depth_above_the_ceiling_exits_two(self, capsys,
-                                                              tmp_path):
-        # Ten states give a default depth of 11; one blind supervisor keeps
-        # the table to a single cell, so only the depth ceiling can refuse.
-        states = [f"q{k}" for k in range(10)]
+    def test_default_search_depth_stops_at_the_ceiling(self, capsys, tmp_path):
+        # Eleven states would give a default depth of 12.
+        states = [f"s{k}" for k in range(11)]
         chain = tmp_path / "chain.des"
         chain.write_text(
-            "supervisors 1\nevent a ctrl=1\n"
+            "supervisors 1\nevent a obs=1\n"
             + "".join(f"state {q}{' init' if k == 0 else ''} legal\n"
                       for k, q in enumerate(states))
             + "".join(f"trans {q} a {r} legal\n"
                       for q, r in zip(states, states[1:])))
         code, out, err = run(capsys, "oracle", str(chain), "--mode", "search")
-        assert code == 2 and not out and "ceiling" in err
+        assert code == 0 and not err
+        assert out == "a solving supervisor assignment exists (checked depth 10)\n"
+
+    @pytest.mark.parametrize("argv", [
+        ("oracle", "--mode", "solve", "--depth", "9"),
+        ("oracle", "--mode", "search", "--depth", "9"),
+        ("verify", "--supervisors", "<sup>", "--depth", "9")])
+    def test_a_walk_past_the_word_budget_exits_two(self, capsys, tmp_path, argv):
+        # Four legal self-loops give 349,525 words up to depth 9, more than
+        # the budget and few enough to walk in full where there is none.
+        loops = tmp_path / "loops.des"
+        loops.write_text("supervisors 1\n"
+                         + "".join(f"event {ev} obs=1\n" for ev in "abcd")
+                         + "state q init legal\n"
+                         + "".join(f"trans q {ev} q legal\n" for ev in "abcd"))
+        sup = str(tmp_path / "sup")
+        assert run(capsys, "synthesize", str(loops), "-o", sup)[0] == 0
+        argv = [argv[0], str(loops), *(sup if a == "<sup>" else a for a in argv[1:])]
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and not out
+        assert "depth 9" in err and f"{oracle.MAX_ORACLE_WORDS} legal words" in err
 
     @pytest.mark.parametrize("mode", ["solve", "search"])
     def test_condition_flag_outside_condition_mode_is_refused(self, capsys,

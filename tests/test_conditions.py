@@ -53,20 +53,19 @@ class TestShorthand:
 class TestControllability:
     def test_gap_model_is_controllable(self, legacy_gap, legacy_gap_frame):
         model, profile = legacy_gap
-        assert check(legacy_gap_frame, model, profile, "controllability").holds
+        assert check(legacy_gap_frame, "controllability").holds
 
     def test_everything_legal_is_controllable(self):
         for model, profile in instance_stream(101, 15, legal_state_bias=1.1):
             frame = default_frame(model, profile)
-            assert check(frame, model, profile, "controllability").holds
+            assert check(frame, "controllability").holds
 
     def test_uncontrollable_escape_is_reported_at_the_initial_world(self, legacy_gap):
         model, profile = legacy_gap
         weakened = plant_from_pairs(model.events, model.states, model.initial,
                                     model.delta, model.legal_states,
                                     model.legal_transitions - {("q0", "a")})
-        verdict = check(default_frame(weakened, profile), weakened, profile,
-                        "controllability")
+        verdict = check(default_frame(weakened, profile), "controllability")
         assert not verdict.holds
         ce = verdict.counterexample
         assert (ce.event, ce.string, ce.world.plant) == ("a", (), "q0")
@@ -76,13 +75,13 @@ class TestExtended:
     def test_bets_model_holds_with_enable_default(self, conditional_bets,
                                                    conditional_bets_frame):
         model, profile = conditional_bets
-        verdict = check(conditional_bets_frame, model, profile, "extended")
+        verdict = check(conditional_bets_frame, "extended")
         assert verdict.holds
         assert verdict.defaults == {"g": ENABLE}
 
     def test_blind_chain_fails_with_a_conflicting_world_pair(self):
         model, profile = blind_two_step_chain()
-        verdict = check(default_frame(model, profile), model, profile, "extended")
+        verdict = check(default_frame(model, profile), "extended")
         assert not verdict.holds
         ce = verdict.counterexample
         assert ce.event == "g"
@@ -93,15 +92,15 @@ class TestExtended:
         for model, profile_ignored in instance_stream(107, 30):
             profile = SupervisionProfile((model.events,), (model.events,))
             frame = default_frame(model, profile)
-            if check(frame, model, profile, "controllability").holds:
-                assert check(frame, model, profile, "extended").holds
+            if check(frame, "controllability").holds:
+                assert check(frame, "extended").holds
 
     def test_forced_default_pins_the_partition(self, forced_disable):
         # After ab every supervisor abstains while g must stay blocked, so
         # the default for g is not a free choice here.
         model, profile = forced_disable
         frame = default_frame(model, profile)
-        verdict = check(frame, model, profile, "extended")
+        verdict = check(frame, "extended")
         assert verdict.holds
         assert verdict.defaults == {"g": DISABLE}
         uncovered = frame.legal_bits
@@ -115,25 +114,24 @@ class TestCorrected:
     def test_gap_model_holds_in_both_shapes(self, legacy_gap, legacy_gap_frame):
         model, profile = legacy_gap
         for which in ("corrected", "split"):
-            assert check(legacy_gap_frame, model, profile, which).holds
+            assert check(legacy_gap_frame, which).holds
 
     def test_bets_model_holds(self, conditional_bets, conditional_bets_frame):
         model, profile = conditional_bets
-        assert check(conditional_bets_frame, model,
-                     profile, "corrected").holds
+        assert check(conditional_bets_frame, "corrected").holds
 
     def test_symmetric_diamond_fails_at_the_initial_world(self, diamond,
                                                           diamond_frame):
         model, profile = diamond
-        verdict = check(diamond_frame, model, profile, "corrected")
+        verdict = check(diamond_frame, "corrected")
         assert not verdict.holds
         assert verdict.counterexample.string == ()
 
     def test_coupled_and_split_always_agree(self, n2_instances):
         disagreements = 0
         for model, profile, frame in n2_instances:
-            coupled = check(frame, model, profile, "corrected")
-            split = check(frame, model, profile, "split")
+            coupled = check(frame, "corrected")
+            split = check(frame, "split")
             disagreements += (coupled.holds != split.holds)
         assert disagreements == 0
 
@@ -141,7 +139,7 @@ class TestCorrected:
 class TestLegacy:
     def test_gap_model_fails_over_all_worlds(self, legacy_gap, legacy_gap_frame):
         model, profile = legacy_gap
-        verdict = check(legacy_gap_frame, model, profile, "legacy",
+        verdict = check(legacy_gap_frame, "legacy",
                         worlds="all", relation="total")
         assert not verdict.holds
         assert verdict.counterexample.event == "g"
@@ -149,15 +147,15 @@ class TestLegacy:
 
     def test_gap_model_holds_over_legal_worlds(self, legacy_gap, legacy_gap_frame):
         model, profile = legacy_gap
-        assert check(legacy_gap_frame, model, profile, "legacy",
+        assert check(legacy_gap_frame, "legacy",
                      worlds="legal", relation="total").holds
 
     def test_everything_legal_makes_legacy_agree_with_corrected(self):
         for model, profile in instance_stream(113, 25, legal_state_bias=1.1):
             frame = default_frame(model, profile)
-            legacy = check(frame, model, profile, "legacy",
+            legacy = check(frame, "legacy",
                            worlds="all", relation="total")
-            corrected = check(frame, model, profile, "corrected")
+            corrected = check(frame, "corrected")
             assert legacy.holds == corrected.holds
 
     def test_separating_controllability(self, n2_instances):
@@ -165,9 +163,9 @@ class TestLegacy:
         # controllability plus the condition over controlled events.
         disagreements = 0
         for model, profile, frame in n2_instances:
-            left = (check(frame, model, profile, "controllability").holds
-                    and check(frame, model, profile, "corrected").holds)
-            right = check(frame, model, profile, "legacy",
+            left = (check(frame, "controllability").holds
+                    and check(frame, "corrected").holds)
+            right = check(frame, "legacy",
                           worlds="legal",
                           events="all",
                           relation="partial").holds
@@ -179,25 +177,23 @@ class TestCoobservability:
     def test_veto_style_fails_on_the_bets_model(self, conditional_bets,
                                                 conditional_bets_frame):
         model, profile = conditional_bets
-        verdict = check(conditional_bets_frame, model,
-                        profile, "cp")
+        verdict = check(conditional_bets_frame, "cp")
         assert not verdict.holds
         assert verdict.counterexample.string == ()
 
     def test_veto_style_holds_on_the_gap_model(self, legacy_gap,
                                                legacy_gap_frame):
         model, profile = legacy_gap
-        assert check(legacy_gap_frame, model, profile,
-                     "cp").holds
+        assert check(legacy_gap_frame, "cp").holds
 
     def test_approve_style_fails_on_the_mirrored_model(self, conditional_bets_mirror,
                                                        mirror_frame):
         model, profile = conditional_bets_mirror
-        verdict = check(mirror_frame, model, profile, "da")
+        verdict = check(mirror_frame, "da")
         assert not verdict.holds
         assert verdict.counterexample.string == ()
         # and the mirror's veto side is fine, mirroring the bets model
-        assert check(mirror_frame, model, profile, "cp").holds
+        assert check(mirror_frame, "cp").holds
 
     def test_approve_style_holds_on_the_bets_model(self, conditional_bets,
                                                    conditional_bets_frame):
@@ -205,14 +201,13 @@ class TestCoobservability:
         # knower, so the approve-only architecture suffices here; the
         # mirrored model is the one that defeats it.
         model, profile = conditional_bets
-        assert check(conditional_bets_frame, model, profile,
-                     "da").holds
+        assert check(conditional_bets_frame, "da").holds
 
     def test_defaults_carry_the_architecture_bias(self, legacy_gap,
                                                   legacy_gap_frame):
         model, profile = legacy_gap
-        cp = check(legacy_gap_frame, model, profile, "cp")
-        da = check(legacy_gap_frame, model, profile, "da")
+        cp = check(legacy_gap_frame, "cp")
+        da = check(legacy_gap_frame, "da")
         assert cp.defaults == {"g": ENABLE}
         assert da.defaults == {"g": DISABLE}
 
@@ -221,14 +216,12 @@ class TestWeakeningChain:
     def test_chain_on_the_instance_set(self, n2_instances):
         violations = 0
         for model, profile, frame in n2_instances:
-            extended = check(frame, model, profile, "extended").holds
-            corrected = check(frame, model, profile, "corrected").holds
-            cp = check(frame, model, profile, "cp").holds
-            da = check(frame, model, profile, "da").holds
-            strong_cp = check(frame, model, profile,
-                              "strong_cp").holds
-            strong_da = check(frame, model, profile,
-                              "strong_da").holds
+            extended = check(frame, "extended").holds
+            corrected = check(frame, "corrected").holds
+            cp = check(frame, "cp").holds
+            da = check(frame, "da").holds
+            strong_cp = check(frame, "strong_cp").holds
+            strong_da = check(frame, "strong_da").holds
             for stronger, weaker in ((corrected, extended), (cp, extended),
                                      (da, extended), (strong_cp, cp),
                                      (strong_da, da)):
@@ -238,25 +231,23 @@ class TestWeakeningChain:
     def test_extended_is_strictly_weaker_than_every_other_condition(self, forced_disable):
         model, profile = forced_disable
         frame = default_frame(model, profile)
-        assert check(frame, model, profile, "extended").holds
-        assert not check(frame, model, profile, "corrected").holds
-        assert not check(frame, model, profile, "cp").holds
-        assert not check(frame, model, profile, "da").holds
+        assert check(frame, "extended").holds
+        assert not check(frame, "corrected").holds
+        assert not check(frame, "cp").holds
+        assert not check(frame, "da").holds
 
     def test_strictness_witnesses(self, conditional_bets, conditional_bets_frame,
                                   legacy_gap, legacy_gap_frame,
                                   conditional_bets_mirror, mirror_frame):
         model, profile = conditional_bets
-        assert check(conditional_bets_frame, model, profile, "extended").holds
-        assert not check(conditional_bets_frame, model,
-                         profile, "cp").holds
+        assert check(conditional_bets_frame, "extended").holds
+        assert not check(conditional_bets_frame, "cp").holds
         model, profile = conditional_bets_mirror
-        assert check(mirror_frame, model, profile, "extended").holds
-        assert not check(mirror_frame, model, profile,
-                         "da").holds
+        assert check(mirror_frame, "extended").holds
+        assert not check(mirror_frame, "da").holds
         model, profile = legacy_gap
-        assert check(legacy_gap_frame, model, profile, "extended").holds
-        assert not check(legacy_gap_frame, model, profile, "legacy",
+        assert check(legacy_gap_frame, "extended").holds
+        assert not check(legacy_gap_frame, "legacy",
                          worlds="all",
                          relation="total").holds
 
@@ -265,11 +256,11 @@ class TestVerdictShape:
     def test_counterexample_and_defaults_presence(self, n2_instances):
         for model, profile, frame in n2_instances[:40]:
             verdicts = [
-                check(frame, model, profile, "controllability"),
-                check(frame, model, profile, "extended"),
-                check(frame, model, profile, "corrected"),
-                check(frame, model, profile, "cp"),
-                check(frame, model, profile, "legacy"),
+                check(frame, "controllability"),
+                check(frame, "extended"),
+                check(frame, "corrected"),
+                check(frame, "cp"),
+                check(frame, "legacy"),
             ]
             for verdict in verdicts:
                 assert (verdict.counterexample is None) == verdict.holds
@@ -289,14 +280,14 @@ class TestConditionTable:
                               ("extended", {"events": "nonsense"}),
                               ("legacy", {"events": "nonsense"})]:
             with pytest.raises(ModelError):
-                check(legacy_gap_frame, model, profile, which, **kwargs)
+                check(legacy_gap_frame, which, **kwargs)
 
 
 class TestDeterminism:
     def test_counterexamples_are_reproducible(self, diamond):
         model, profile = diamond
-        first = check(default_frame(model, profile), model, profile, "extended")
-        second = check(default_frame(model, profile), model, profile, "extended")
+        first = check(default_frame(model, profile), "extended")
+        second = check(default_frame(model, profile), "extended")
         assert first.counterexample == second.counterexample
         assert first.counterexample.string == ("a",)
         assert first.counterexample.conflict_string == ()

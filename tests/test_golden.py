@@ -21,7 +21,7 @@ from unittest import mock
 
 import pytest
 
-from infobs import closed_loop, load_model, synthesize
+from infobs import closed_loop, default_frame, load_model, synthesize
 from infobs.cli import main
 
 MODELS = Path(__file__).resolve().parent.parent / "examples" / "models"
@@ -48,7 +48,8 @@ def session_script(model: Path) -> str:
     event the closed loop allows, ``estimates``, ``events`` and every ``why``
     again, ``reset``, ``quit``."""
     model_spec, profile = load_model(model)
-    loop = closed_loop(model_spec, profile, synthesize(model_spec, profile))
+    loop = closed_loop(model_spec, profile,
+                       synthesize(default_frame(model_spec, profile)))
     first = loop.edges[1]  # world 0's moves come first, in event order
     why = [f"why {ev}" for ev in sorted(profile.sigma_c)]
     return ";".join(["events", *why, f"step {first}", "estimates", "events",

@@ -8,8 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from infobs import (load_supervisors, parse_model, save_supervisors,
-                    serialize_model, synthesize)
+from infobs import (default_frame, load_supervisors, parse_model,
+                    save_supervisors, serialize_model, synthesize)
 from infobs.errors import FormatError
 
 from conftest import MODELS, estimate_moves, estimate_table
@@ -146,7 +146,7 @@ class TestRoundTrip:
 class TestSupervisorFiles:
     def test_save_and_load_round_trip(self, conditional_bets, tmp_path):
         model, profile = conditional_bets
-        result = synthesize(model, profile)
+        result = synthesize(default_frame(model, profile))
         save_supervisors(result, tmp_path)
         loaded = load_supervisors(tmp_path)
         assert loaded.defaults == result.defaults
@@ -164,7 +164,7 @@ class TestSupervisorFiles:
         # The loader numbers the estimates ``initial`` first, then
         # ``states`` in file order, and every id a loaded supervisor names
         # is one of them.
-        save_supervisors(synthesize(*conditional_bets), tmp_path)
+        save_supervisors(synthesize(default_frame(*conditional_bets)), tmp_path)
         for sup in load_supervisors(tmp_path).supervisors:
             data = json.loads((tmp_path / f"supervisor_{sup.index + 1}.json")
                               .read_text())
@@ -178,7 +178,7 @@ class TestSupervisorFiles:
     def test_a_transition_on_an_unobserved_event_is_refused(self,
                                                              conditional_bets,
                                                              tmp_path):
-        save_supervisors(synthesize(*conditional_bets), tmp_path)
+        save_supervisors(synthesize(default_frame(*conditional_bets)), tmp_path)
         path = tmp_path / "supervisor_1.json"
         data = json.loads(path.read_text())
         assert "b" not in data["observable"]
@@ -195,9 +195,10 @@ class TestSupervisorFiles:
             self, conditional_bets, tmp_path):
         # A hand-edited file may name an estimate's states in any order
         # outside `states`; it denotes the same estimate, with the same id.
-        save_supervisors(synthesize(*conditional_bets), tmp_path / "sorted")
+        save_supervisors(synthesize(default_frame(*conditional_bets)),
+                         tmp_path / "sorted")
         shuffled = tmp_path / "shuffled"
-        save_supervisors(synthesize(*conditional_bets), shuffled)
+        save_supervisors(synthesize(default_frame(*conditional_bets)), shuffled)
         path = shuffled / "supervisor_1.json"
         data = json.loads(path.read_text())
         est = data["states"][-1]
@@ -220,7 +221,7 @@ class TestSupervisorFiles:
     @pytest.mark.parametrize("field", ["states", "initial", "transitions", "table"])
     def test_a_bad_estimate_member_keeps_its_message(self, conditional_bets,
                                                      tmp_path, field, member):
-        save_supervisors(synthesize(*conditional_bets), tmp_path)
+        save_supervisors(synthesize(default_frame(*conditional_bets)), tmp_path)
         path = tmp_path / "supervisor_1.json"
         data = json.loads(path.read_text())
         if field == "initial":

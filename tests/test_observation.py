@@ -204,8 +204,8 @@ class TestComposeAgainstTheReference:
     def test_a_check_does_not_build_the_world_keyed_delta(self, legacy_gap):
         model, profile = legacy_gap
         frame = default_frame(model, profile)
-        assert check(frame, model, profile, "extended").holds
-        assert not check(frame, model, profile, "legacy").holds
+        assert check(frame, "extended").holds
+        assert not check(frame, "legacy").holds
         composite = frame.composite
         assert "worlds" not in vars(composite)
         assert reference_equivalent((0, composite_delta(composite)),
@@ -214,10 +214,10 @@ class TestComposeAgainstTheReference:
     def test_a_holding_check_does_not_build_the_witnesses(self, legacy_gap):
         model, profile = legacy_gap
         frame = default_frame(model, profile)
-        assert check(frame, model, profile, "extended").holds
+        assert check(frame, "extended").holds
         composite = frame.composite
         assert not {"worlds", "words"} & vars(composite).keys()
-        failed = check(frame, model, profile, "legacy")
+        failed = check(frame, "legacy")
         assert not failed.holds
         assert not {"worlds", "delta"} & vars(composite).keys()
         k = composite.worlds.index(failed.counterexample.world)
@@ -229,7 +229,7 @@ class TestComposeAgainstTheReference:
                                                        closed_loop_calls):
         model, profile = request.getfixturevalue(name)
         frame = default_frame(model, profile)
-        result = synthesize(model, profile, frame)
+        result = synthesize(frame)
         assert verify_solution(model, profile, result).equal
         ((*_args, loop),) = closed_loop_calls
         for composite in (frame.composite, loop):
@@ -239,7 +239,7 @@ class TestComposeAgainstTheReference:
     def test_failing_verdicts_name_the_derived_worlds_and_words(self, request, name):
         model, profile = request.getfixturevalue(name)
         frame = default_frame(model, profile)
-        verdicts = [check(frame, model, profile, which)
+        verdicts = [check(frame, which)
                     for which in ("extended", "corrected", "legacy", "cp", "da")]
         failing = [v.counterexample for v in verdicts if not v.holds]
         assert "worlds" not in vars(frame.composite)

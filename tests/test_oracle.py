@@ -3,7 +3,7 @@
 import pytest
 
 from infobs import (ABSTAIN, DISABLE, ENABLE, ON, SupervisionProfile, check,
-                    closed_loop, exhaustive_supervisor_search,
+                    closed_loop, default_frame, exhaustive_supervisor_search,
                     oracle_condition, oracle_solves, project, synthesize)
 from infobs.errors import EnumerationBound, InstanceTooLarge
 from infobs.oracle import (RULE_ILLEGAL_ENABLED, RULE_LEGAL_DISABLED,
@@ -16,12 +16,12 @@ from conftest import composite_delta, plant_from_pairs, reference_equivalent
 class TestOracleSolves:
     def test_synthesized_gap_model_passes(self, legacy_gap):
         model, profile = legacy_gap
-        result = synthesize(model, profile)
+        result = synthesize(default_frame(model, profile))
         assert oracle_solves(model, profile, result, 6).ok
 
     def test_corrupted_table_enables_an_illegal_event(self, legacy_gap):
         model, profile = legacy_gap
-        result = synthesize(model, profile)
+        result = synthesize(default_frame(model, profile))
         sup1 = result.supervisors[0]
         assert sup1.observer.states[0] == frozenset({"q0", "q2"})
         table = dict(sup1.table)
@@ -48,7 +48,7 @@ class TestOracleSolves:
 
     def test_uncontrollable_escape_rule(self, legacy_gap):
         model, profile = legacy_gap
-        result = synthesize(model, profile)
+        result = synthesize(default_frame(model, profile))
         weakened = plant_from_pairs(model.events, model.states, model.initial,
                                     model.delta, model.legal_states,
                                     model.legal_transitions - {("q0", "a")})
@@ -57,7 +57,7 @@ class TestOracleSolves:
 
     def test_overly_cautious_supervisors_block_legal_words(self, legacy_gap):
         model, profile = legacy_gap
-        result = synthesize(model, profile)
+        result = synthesize(default_frame(model, profile))
         sup1 = result.supervisors[0]
         table = {key: ABSTAIN for key in sup1.table}
         timid = SynthesisResult(
@@ -68,7 +68,7 @@ class TestOracleSolves:
 
     def test_depth_above_the_ceiling_is_rejected(self, legacy_gap):
         model, profile = legacy_gap
-        result = synthesize(model, profile)
+        result = synthesize(default_frame(model, profile))
         with pytest.raises(EnumerationBound):
             oracle_solves(model, profile, result, 11)
         with pytest.raises(EnumerationBound):
@@ -91,19 +91,15 @@ class TestOracleCondition:
         mismatches = 0
         for model, profile, frame in [*n2_instances, *n3_instances]:
             checks = {
-                "extended": check(frame, model, profile, "extended").holds,
-                "corrected": check(frame, model, profile, "corrected").holds,
-                "split": check(frame, model, profile,
-                               "split").holds,
-                "cp": check(frame, model, profile, "cp").holds,
-                "da": check(frame, model, profile, "da").holds,
-                "strong_cp": check(frame, model, profile,
-                                   "strong_cp").holds,
-                "strong_da": check(frame, model, profile,
-                                   "strong_da").holds,
-                "controllability": check(frame, model, profile,
-                                         "controllability").holds,
-                "legacy": check(frame, model, profile, "legacy").holds,
+                "extended": check(frame, "extended").holds,
+                "corrected": check(frame, "corrected").holds,
+                "split": check(frame, "split").holds,
+                "cp": check(frame, "cp").holds,
+                "da": check(frame, "da").holds,
+                "strong_cp": check(frame, "strong_cp").holds,
+                "strong_da": check(frame, "strong_da").holds,
+                "controllability": check(frame, "controllability").holds,
+                "legacy": check(frame, "legacy").holds,
             }
             for which, expected in checks.items():
                 if oracle_condition(model, profile, which) != expected:
@@ -134,7 +130,7 @@ class TestExhaustiveSearch:
         found = exhaustive_supervisor_search(model, profile,
                                              len(model.states) + 1)
         assert found.exists
-        synthesized = synthesize(model, profile)
+        synthesized = synthesize(default_frame(model, profile))
         assert reference_equivalent(
             (0, composite_delta(closed_loop(model, profile, found.result))),
             (0, composite_delta(closed_loop(model, profile, synthesized)))).equal

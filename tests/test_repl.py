@@ -21,11 +21,11 @@ def session(model_profile, *commands, edit=None):
     the synthesized result into the one the session runs."""
     model, profile = model_profile
     frame = default_frame(model, profile)
-    result = synthesize(model, profile, frame)
+    result = synthesize(frame)
     if edit is not None:
         result = edit(result)
     out = io.StringIO()
-    run_simulation(model, profile, result, frame,
+    run_simulation(frame, result,
                    io.StringIO("\n".join(commands) + "\n"), out)
     return out.getvalue()
 
@@ -147,7 +147,7 @@ class TestSimulator:
         for n, (model, profile) in enumerate(instance_stream(RELOAD_SEED, 200)):
             frame = default_frame(model, profile)
             try:
-                result = synthesize(model, profile, frame)
+                result = synthesize(frame)
             except SynthesisError:
                 continue
             save_supervisors(result, tmp_path / str(n))
@@ -164,7 +164,7 @@ class TestSimulator:
             texts = []
             for run in (result, reloaded):
                 out = io.StringIO()
-                run_simulation(model, profile, run, frame,
+                run_simulation(frame, run,
                                io.StringIO("\n".join(commands) + "\n"), out)
                 texts.append(out.getvalue())
             assert texts[0] == texts[1]

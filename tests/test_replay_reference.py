@@ -13,7 +13,7 @@ from dataclasses import replace
 import pytest
 
 from infobs import (ABSTAIN, ENABLE, OFF, ON, WOFF, WON, SupervisionProfile,
-                    closed_loop, load_supervisors, oracle_solves,
+                    closed_loop, default_frame, load_supervisors, oracle_solves,
                     save_supervisors, synthesize)
 from infobs.errors import InfobsError, SynthesisError
 from infobs.synthesis import Supervisor, SynthesisResult
@@ -65,7 +65,7 @@ def test_synthesized_and_reloaded_supervisors_agree(tmp_path):
     solved = 0
     for n, (model, profile) in enumerate(instance_stream(REPLAY_SEED, 300)):
         try:
-            result = synthesize(model, profile)
+            result = synthesize(default_frame(model, profile))
         except SynthesisError:
             continue
         solved += 1
@@ -100,7 +100,7 @@ def test_corrupted_tables_agree(synthesized_instances):
 def test_a_file_without_transitions_cannot_follow_at_the_same_word(
         conditional_bets, tmp_path, supervisor):
     model, profile = conditional_bets
-    save_supervisors(synthesize(model, profile), tmp_path)
+    save_supervisors(synthesize(default_frame(model, profile)), tmp_path)
     path = tmp_path / f"supervisor_{supervisor}.json"
     data = json.loads(path.read_text())
     data["transitions"] = []
@@ -125,7 +125,7 @@ def test_a_missing_cell_is_reported_before_a_later_observer_is_stuck():
                              {"q0", "q1", "t1"}, {("q0", "a"), ("q1", "g")})
     both = frozenset({"a"}), frozenset({"a"})
     profile = SupervisionProfile(both, (frozenset({"g"}),) * 2)
-    first, second = synthesize(model, profile).supervisors
+    first, second = synthesize(default_frame(model, profile)).supervisors
     table = {key: d for key, d in first.table.items() if key[0] == 0}
     stuck = replace(second.observer, moves={"a": {}})
     result = SynthesisResult((Supervisor(first.observer, table),

@@ -22,7 +22,8 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from infobs import load_model, load_supervisors, save_supervisors, synthesize  # noqa: E402
+from infobs import (default_frame, load_model, load_supervisors,  # noqa: E402
+                    save_supervisors, synthesize)
 from infobs.cli import main  # noqa: E402
 from infobs.errors import FormatError  # noqa: E402
 
@@ -35,7 +36,7 @@ BETS = MODELS / "conditional_bets.des"
 def synthesized_files() -> tuple[tuple[str, str], ...]:
     """The (name, text) pairs ``synthesize`` writes for the fixture."""
     with tempfile.TemporaryDirectory() as tmp:
-        paths = save_supervisors(synthesize(*load_model(BETS)), tmp)
+        paths = save_supervisors(synthesize(default_frame(*load_model(BETS))), tmp)
         return tuple((p.name, p.read_text(encoding="utf-8")) for p in paths)
 
 

@@ -95,7 +95,7 @@ class TestProjectPolicy:
 class TestSynthesize:
     def test_gap_model_supervisors(self, legacy_gap, legacy_gap_frame):
         model, profile = legacy_gap
-        result = synthesize(model, profile, legacy_gap_frame)
+        result = synthesize(legacy_gap_frame)
         sup1, sup2 = result.supervisors
         assert sup1.observer.states == (frozenset({"q0", "q2"}),
                                         frozenset({"q1", "q3", "q4", "q5"}))
@@ -105,14 +105,14 @@ class TestSynthesize:
 
     def test_provenance_records_the_cases(self, conditional_bets):
         model, profile = conditional_bets
-        result = synthesize(model, profile)
+        result = synthesize(default_frame(model, profile))
         cases = set(result.provenance.values())
         assert PolicyCase.BET_DISABLE in cases and PolicyCase.KNOWS_ENABLE in cases
 
     def test_supervisors_reuse_the_composite_observers(self, conditional_bets):
         model, profile = conditional_bets
         frame = default_frame(model, profile)
-        result = synthesize(model, profile, frame)
+        result = synthesize(frame)
         for sup, observer in zip(result.supervisors, frame.composite.observers,
                                  strict=True):
             assert sup.observer is observer
@@ -123,13 +123,13 @@ class TestSynthesize:
                                     model.delta, model.legal_states,
                                     model.legal_transitions - {("q0", "a")})
         with pytest.raises(NotControllable) as err:
-            synthesize(weakened, profile)
+            synthesize(default_frame(weakened, profile))
         assert err.value.verdict.counterexample.event == "a"
 
     def test_unsolvable_diamond_is_refused_with_the_world_pair(self, diamond):
         model, profile = diamond
         with pytest.raises(NotInferenceObservable) as err:
-            synthesize(model, profile)
+            synthesize(default_frame(model, profile))
         ce = err.value.verdict.counterexample
         assert ce.conflict_world is not None
 
@@ -137,7 +137,7 @@ class TestSynthesize:
 class TestClosedLoop:
     def test_gap_model_closed_loop_language(self, legacy_gap):
         model, profile = legacy_gap
-        result = synthesize(model, profile)
+        result = synthesize(default_frame(model, profile))
         loop = (0, composite_delta(closed_loop(model, profile, result)))
         assert automaton_language(loop, 4) == {(), ("a",), ("a", "g")}
         expected = (0, {(0, "a"): 1, (1, "g"): 2})
@@ -151,14 +151,14 @@ class TestClosedLoop:
         all_legal = plant_from_pairs(model.events, model.states, model.initial,
                                      model.delta, model.states,
                                      frozenset(model.delta.keys()))
-        result = synthesize(all_legal, profile)
+        result = synthesize(default_frame(all_legal, profile))
         loop = closed_loop(all_legal, profile, result)
         assert reference_equivalent((0, composite_delta(loop)),
                                     (all_legal.initial, all_legal.delta)).equal
 
     def test_bets_model_closed_loop_is_the_legal_language(self, conditional_bets):
         model, profile = conditional_bets
-        result = synthesize(model, profile)
+        result = synthesize(default_frame(model, profile))
         loop = (0, composite_delta(closed_loop(model, profile, result)))
         assert reference_equivalent(loop, legal_rows(model)).equal
         words = automaton_language(loop, 3)
@@ -170,12 +170,12 @@ class TestClosedLoop:
 class TestVerifySolution:
     def test_synthesized_fixtures_verify(self, legacy_gap, conditional_bets):
         for model, profile in (legacy_gap, conditional_bets):
-            result = synthesize(model, profile)
+            result = synthesize(default_frame(model, profile))
             assert verify_solution(model, profile, result).equal
 
     def test_corrupted_table_is_caught_with_a_short_word(self, legacy_gap):
         model, profile = legacy_gap
-        result = synthesize(model, profile)
+        result = synthesize(default_frame(model, profile))
         sup1 = result.supervisors[0]
         assert sup1.observer.states[0] == frozenset({"q0", "q2"})
         table = dict(sup1.table)
@@ -237,7 +237,7 @@ class TestVerifySolution:
     def test_a_supervisor_may_ignore_events_it_could_see(self, legacy_gap):
         # Supervisor 2 is blind; letting it see `a` does not oblige it to look.
         model, profile = legacy_gap
-        result = synthesize(model, profile)
+        result = synthesize(default_frame(model, profile))
         wider = SupervisionProfile(
             (profile.observable[0], profile.observable[1] | {"a"}),
             profile.controllable)
@@ -263,7 +263,7 @@ class TestCouplingInvariants:
         from infobs.fusion import fuse
         for model, profile, _result in synthesized_instances[:60]:
             frame = default_frame(model, profile)
-            result = synthesize(model, profile, frame)
+            result = synthesize(frame)
             for ev in sorted(profile.sigma_c):
                 lines = _extended_lines(profile, ev)
                 for k, w in enumerate(frame.worlds):
