@@ -214,6 +214,15 @@ class Condition:
             raise ModelError(f"{name} quantifies over {self.worlds[0]} worlds only")
         return relation, worlds
 
+    def event_pool(self, model: PlantSpec, profile: SupervisionProfile,
+                   events: EventDomain | None = None) -> frozenset[str]:
+        """The events of the row's event domain, or of ``events`` instead."""
+        pool = {"controllable": profile.sigma_c, "all": model.events,
+                "uncontrollable": model.events - profile.sigma_c}.get(events or self.events)
+        if pool is None:
+            raise ModelError(f"unknown event domain {events!r}")
+        return pool
+
 
 #: Controllability (nothing covers an uncontrollable event, so it must be
 #: safe to enable); the observability family from weakest (extended, which
@@ -253,11 +262,8 @@ def check(frame: KripkeFrame, which: str, relation: Relation | None = None,
     if row is None:
         raise ModelError(f"unknown condition {which!r}")
     relation, worlds = row.domains(which, relation, worlds)
-    model, profile = frame.model, frame.profile
-    pool = {"controllable": profile.sigma_c, "all": model.events,
-            "uncontrollable": model.events - profile.sigma_c}.get(events or row.events)
-    if pool is None:
-        raise ModelError(f"unknown event domain {events!r}")
+    profile = frame.profile
+    pool = row.event_pool(frame.model, profile, events)
     domain = frame.legal_bits if worlds == "legal" else frame.all_bits
     chosen: dict[str, FusedDecision] = {}
     for ev in sorted(pool):

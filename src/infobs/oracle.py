@@ -8,9 +8,10 @@ Three validators:
   over every plant word up to a depth bound, stepping the supervisors'
   observers directly along each word, once per word prefix.
 
-* :func:`oracle_condition` re-decides the observability conditions by direct
-  quantifier expansion: plain nested loops over worlds and classes, no
-  formula trees, no memoization.
+* :func:`oracle_condition` re-decides the observability conditions by plain
+  nested loops over worlds and classes.  It reads each condition's declared
+  facts from the condition table and spells out the covering knowledge
+  itself: no formula trees, no frame, no memoization.
 
 * :func:`exhaustive_supervisor_search` enumerates every decision table (and
   both defaults per event) over the reachable observer estimates of a tiny
@@ -24,6 +25,7 @@ from dataclasses import dataclass
 from itertools import islice, product
 
 from .automata import PlantSpec, SupervisionProfile, Word, walk_words
+from .conditions import CONDITIONS
 from .errors import (ControlConflict, EnumerationBound, InstanceTooLarge,
                      UndefinedFusion)
 from .fusion import (ABSTAIN, DISABLE, ENABLE, ControlDecision, FusedDecision,
@@ -122,126 +124,83 @@ def _estimate(observer: Observer, memo: dict[Word, int], word: Word) -> int:
 
 # ---------------------------------------------------------------------------
 # Naive condition checking by direct expansion
+#
+# Each family's covering knowledge at world ``w`` for one event, given
+# ``know(w, i, pred)``, where enabling (``e``) and disabling (``d``) the
+# event are safe, and its controllers ``ctrl``.
+
+def _veto(w, know, e, d, ctrl):
+    return any(know(w, i, d) for i in ctrl)
+
+
+def _approve(w, know, e, d, ctrl):
+    return any(know(w, i, e) for i in ctrl)
+
+
+def _four_lines(w, know, e, d, ctrl):
+    """i knows enabling is safe, or disabling is; or i knows that where the
+    event must be enabled (disabled) another controller knows it may be."""
+    def others_know(v, i, pred):
+        return any(know(v, j, pred) for j in ctrl if j != i)
+    return any(know(w, i, e) or know(w, i, d)
+               or know(w, i, lambda v: d(v) or others_know(v, i, e))
+               or know(w, i, lambda v: e(v) or others_know(v, i, d))
+               for i in ctrl)
+
+
+def _coupled(w, know, e, d, ctrl):
+    """Some i knows that where the event must be enabled some j knows
+    enabling is safe."""
+    return any(know(w, i, lambda v: d(v) or know(v, j, e))
+               for i in ctrl for j in ctrl)
+
+
+_COVERING = {"controllability": lambda *_: False, "extended": _four_lines,
+             "corrected": _coupled, "split": _coupled, "legacy": _coupled,
+             "cp": _veto, "strong_cp": _veto, "da": _approve, "strong_da": _approve}
+
 
 def oracle_condition(model: PlantSpec, profile: SupervisionProfile,
                      which: str) -> bool:
     """Decide a condition with nested loops straight off its definition.
 
-    Supported ids: ``controllability``, ``extended``, ``corrected``,
-    ``split``, ``legacy``, ``cp``, ``da``, ``strong_cp``, ``strong_da``.
-    ``legacy`` is the published form: the total relations over all worlds.
+    ``which`` is a key of :data:`~infobs.conditions.CONDITIONS`.  Like the
+    checker, the oracle reads the row's default relation and world domain
+    (``legacy``'s are the published form), event domain and defaults in
+    order; unlike it, no formula, frame or memo.  An event holds when some
+    default is safe at every world of the domain that the family's own
+    covering clause leaves uncovered.
     """
-    composite = build_composite(model, profile)
-    worlds = composite.worlds
+    row = CONDITIONS.get(which)
+    if row is None:
+        raise ValueError(f"unknown condition id {which!r}")
+    relation, world_domain = row.domains(which)
+    worlds = build_composite(model, profile).worlds
     if len(worlds) > MAX_ORACLE_WORLDS:
         raise InstanceTooLarge(f"{len(worlds)} worlds exceed the oracle bound")
+    legal_worlds = [w for w in worlds if w.plant in model.legal_states]
+    pool = legal_worlds if world_domain == "legal" else worlds
+    covered = _COVERING[which]
+    partial = relation == "partial"
+    mates = legal_worlds if partial else worlds
 
-    def is_legal(w):
-        return w.plant in model.legal_states
+    def know(w, i, pred):
+        # Under the partial relation knowledge is vacuous at an illegal world
+        # and ranges over legal class-mates; under the total one, over all.
+        return (partial and w.plant not in model.legal_states
+                or all(pred(v) for v in mates if v.estimates[i] == w.estimates[i]))
 
-    def sig_g(w, ev):
-        return w.plant in model.successors[ev]
-
-    def sig_e(w, ev):
-        return w.plant in model.legal_sources[ev]
-
-    def e(w, ev):
-        return (not sig_g(w, ev)) or sig_e(w, ev)
-
-    def d(w, ev):
-        return not sig_e(w, ev)
-
-    def cls(w, i, rel):
-        if rel == "partial":
-            if not is_legal(w):
-                return []
-            return [v for v in worlds
-                    if v.estimates[i] == w.estimates[i] and is_legal(v)]
-        return [v for v in worlds if v.estimates[i] == w.estimates[i]]
-
-    def know(w, i, pred, rel):
-        return all(pred(v) for v in cls(w, i, rel))
-
-    legal_worlds = [w for w in worlds if is_legal(w)]
-
-    if which == "controllability":
-        for ev in model.events - profile.sigma_c:
-            for w in legal_worlds:
-                if not e(w, ev):
-                    return False
-        return True
-
-    if which == "extended":
-        for ev in sorted(profile.sigma_c):
-            ctrl = profile.controllers(ev)
-
-            def other_e(w, i):
-                return any(know(w, j, lambda v: e(v, ev), "partial")
-                           for j in ctrl if j != i)
-
-            def other_d(w, i):
-                return any(know(w, j, lambda v: d(v, ev), "partial")
-                           for j in ctrl if j != i)
-
-            uncovered = []
-            for w in legal_worlds:
-                line1 = any(know(w, i, lambda v: e(v, ev), "partial") for i in ctrl)
-                line2 = any(know(w, i, lambda v: d(v, ev), "partial") for i in ctrl)
-                line3 = any(know(w, i,
-                                 lambda v, i=i: (not sig_e(v, ev)) or other_e(v, i),
-                                 "partial")
-                            for i in ctrl)
-                line4 = any(know(w, i,
-                                 lambda v, i=i: (not (sig_g(v, ev) and not sig_e(v, ev)))
-                                 or other_d(v, i),
-                                 "partial")
-                            for i in ctrl)
-                if not (line1 or line2 or line3 or line4):
-                    uncovered.append(w)
-            all_e = all(e(w, ev) for w in uncovered)
-            all_d = all(d(w, ev) for w in uncovered)
-            if not (all_e or all_d):
-                return False
-        return True
-
-    if which in ("corrected", "split", "legacy"):
-        rel = "total" if which == "legacy" else "partial"
-        pool = worlds if which == "legacy" else legal_worlds
-        for ev in sorted(profile.sigma_c):
-            ctrl = profile.controllers(ev)
-            for w in pool:
-                if e(w, ev):
-                    continue
-                found = False
-                for i in ctrl:
-                    for j in ctrl:
-                        if know(w, i,
-                                lambda v, j=j: (not sig_e(v, ev))
-                                or know(v, j, lambda u: e(u, ev), rel),
-                                rel):
-                            found = True
-                            break
-                    if found:
-                        break
-                if not found:
-                    return False
-        return True
-
-    if which in ("cp", "da", "strong_cp", "strong_da"):
-        rel = "total" if which.startswith("strong") else "partial"
-        veto = which.endswith("cp")
-        for ev in sorted(profile.sigma_c):
-            ctrl = profile.controllers(ev)
-            for w in legal_worlds:
-                base = e(w, ev) if veto else d(w, ev)
-                if base:
-                    continue
-                pred = (lambda v: d(v, ev)) if veto else (lambda v: e(v, ev))
-                if not any(know(w, i, pred, rel) for i in ctrl):
-                    return False
-        return True
-
-    raise ValueError(f"unknown condition id {which!r}")
+    for ev in sorted(row.event_pool(model, profile)):
+        ctrl = profile.controllers(ev)
+        possible, must_enable = model.successors[ev], model.legal_sources[ev]
+        safe = {ENABLE: lambda w: w.plant not in possible or w.plant in must_enable,
+                DISABLE: lambda w: w.plant not in must_enable}
+        e, d = safe[ENABLE], safe[DISABLE]
+        # Covering knowledge is read only where the default is unsafe.
+        if not any(all(safe[dft](w) or covered(w, know, e, d, ctrl) for w in pool)
+                   for dft in row.defaults):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,9 @@
 
 import pytest
 
-from infobs import (DISABLE, ENABLE, SupervisionProfile, can_enable, check,
-                    default_frame, must_disable, must_enable)
+from infobs import (CONDITIONS, DISABLE, ENABLE, SupervisionProfile,
+                    can_enable, check, default_frame, must_disable,
+                    must_enable)
 from infobs.conditions import _extended_lines
 from infobs.errors import ModelError
 from infobs.kripke import And, Not, Var, possible
@@ -270,6 +271,31 @@ class TestVerdictShape:
 
 
 class TestConditionTable:
+    def test_rows_declare_their_relations_domains_and_defaults(self):
+        # The checker and the oracle both read these facts, so their
+        # agreement cannot catch an edit to them; this list can.
+        facts = {which: (row.verdict, row.relations, row.worlds, row.events,
+                         row.defaults)
+                 for which, row in CONDITIONS.items()}
+        assert facts == {
+            "controllability": ("controllability", ("partial",), ("legal",),
+                                "uncontrollable", (ENABLE,)),
+            "extended": ("extended", ("partial",), ("legal",), "controllable",
+                         (ENABLE, DISABLE)),
+            "corrected": ("corrected", ("partial",), ("legal",), "controllable",
+                          (ENABLE,)),
+            "split": ("corrected-split", ("partial",), ("legal",),
+                      "controllable", (ENABLE,)),
+            "legacy": ("legacy", ("total", "partial"), ("all", "legal"),
+                       "controllable", (ENABLE,)),
+            "cp": ("cp", ("partial",), ("legal",), "controllable", (ENABLE,)),
+            "da": ("da", ("partial",), ("legal",), "controllable", (DISABLE,)),
+            "strong_cp": ("strong_cp", ("total",), ("legal",), "controllable",
+                          (ENABLE,)),
+            "strong_da": ("strong_da", ("total",), ("legal",), "controllable",
+                          (DISABLE,)),
+        }
+
     def test_unknown_ids_and_domains_are_refused(self, legacy_gap,
                                                  legacy_gap_frame):
         model, profile = legacy_gap

@@ -1,16 +1,64 @@
 """String-level replay, naive condition expansion, exhaustive table search."""
 
+import random
+from collections import Counter
+
 import pytest
 
-from infobs import (ABSTAIN, DISABLE, ENABLE, ON, SupervisionProfile, check,
-                    closed_loop, default_frame, exhaustive_supervisor_search,
-                    oracle_condition, oracle_solves, project, synthesize)
+from infobs import (ABSTAIN, CONDITIONS, DISABLE, ENABLE, ON, PlantSpec,
+                    SupervisionProfile, check, closed_loop, default_frame,
+                    exhaustive_supervisor_search, oracle_condition,
+                    oracle_solves, project, synthesize)
+from infobs.automata import closure, validate_model, validate_profile
 from infobs.errors import EnumerationBound, InstanceTooLarge
+import infobs.oracle as oracle_mod
 from infobs.oracle import (RULE_ILLEGAL_ENABLED, RULE_LEGAL_DISABLED,
                            RULE_UNCONTROLLABLE)
 from infobs.synthesis import Supervisor, SynthesisResult
 
 from conftest import composite_delta, plant_from_pairs, reference_equivalent
+
+INCOHERENT_SEED = 20240607
+
+
+def incoherent_instance(rng: random.Random):
+    """A random plant without the coherent shape of the shipped fixtures and
+    ``randgen``: moves may lead from illegal states back to legal ones, and
+    a move between legal states need not be legal."""
+    events = ("a", "b", "c")[:rng.randint(1, 3)]
+    states = [f"q{k}" for k in range(rng.randint(1, 5))]
+    successors = {ev: {q: rng.choice(states) for q in states if rng.random() < 0.6}
+                  for ev in events}
+    reach = closure({"q0"}, successors.values())
+    successors = {ev: {q: dst for q, dst in row.items() if q in reach}
+                  for ev, row in successors.items()}
+    legal = {q for q in states if q in reach and rng.random() < 0.6} | {"q0"}
+    legal_sources = {ev: frozenset(q for q, dst in row.items()
+                                   if q in legal and dst in legal and rng.random() < 0.7)
+                     for ev, row in successors.items()}
+    model = PlantSpec(frozenset(events), frozenset(reach), "q0", successors,
+                      frozenset(legal), legal_sources)
+    n = rng.randint(1, 3)
+    profile = SupervisionProfile(
+        tuple(frozenset(ev for ev in events if rng.random() < 0.4) for _ in range(n)),
+        tuple(frozenset(ev for ev in events if rng.random() < 0.6) for _ in range(n)))
+    validate_model(model)
+    validate_profile(model, profile)
+    return model, profile
+
+
+def incoherence(model: PlantSpec) -> set[str]:
+    """The coherence rules a plant breaks: ``escape`` for a move from an
+    illegal state back to a legal one, ``not-induced`` for a move between
+    legal states that is not legal."""
+    broken = set()
+    for ev, row in model.successors.items():
+        for q, dst in row.items():
+            if dst in model.legal_states and q not in model.legal_states:
+                broken.add("escape")
+            elif dst in model.legal_states and q not in model.legal_sources[ev]:
+                broken.add("not-induced")
+    return broken
 
 
 class TestOracleSolves:
@@ -106,15 +154,32 @@ class TestOracleCondition:
                     mismatches += 1
         assert mismatches == 0
 
+    def test_agreement_beyond_coherent_plants(self):
+        rng = random.Random(INCOHERENT_SEED)
+        broken = Counter()
+        mismatches = []
+        for _ in range(700):
+            model, profile = incoherent_instance(rng)
+            frame = default_frame(model, profile)
+            broken.update(incoherence(model))
+            for which in CONDITIONS:
+                if oracle_condition(model, profile, which) != check(frame, which).holds:
+                    mismatches.append((model, profile, which))
+        assert broken["escape"] > 100 and broken["not-induced"] > 100
+        assert mismatches == []
+
     def test_oversized_instances_are_refused(self, legacy_gap, monkeypatch):
-        import infobs.oracle as oracle_mod
         monkeypatch.setattr(oracle_mod, "MAX_ORACLE_WORLDS", 4)
         model, profile = legacy_gap
         with pytest.raises(InstanceTooLarge):
             oracle_condition(model, profile, "extended")
 
-    def test_unknown_condition_id(self, legacy_gap):
+    def test_unknown_condition_id(self, legacy_gap, monkeypatch):
         model, profile = legacy_gap
+        with pytest.raises(ValueError):
+            oracle_condition(model, profile, "nonsense")
+        # The id is looked up before the composite is built and sized.
+        monkeypatch.setattr(oracle_mod, "MAX_ORACLE_WORLDS", 4)
         with pytest.raises(ValueError):
             oracle_condition(model, profile, "nonsense")
 
